@@ -3,7 +3,7 @@
 Library layout:
 
 - linalg:   dense complex linear algebra (trace norm, partial transpose, ...)
-- states:   GHZ / concatenated-GHZ / DFS constructors, doublet Hadamard
+- states:   GHZ / concatenated-GHZ / DFS constructors, random pairs
 - channels: single-qubit depolarizing channel, scalar transfer coefficients
 - analytic: closed-form coherence norms, distillation fidelity, tail fits
 - spectral: symmetry-exploiting exact spectra, negativity, Fisher information
@@ -14,7 +14,7 @@ Library layout:
 
 from .errors import ConsistencyError, InputError, ResourceLimitError, ZeroProbabilityError
 from .channels import NoiseParameter, TransferCoefficients, transfer_coefficients
-from .states import BlockConfig, cghz, dfs_ghz, ghz, logical_hadamard, random_orthogonal_pair
+from .states import BlockConfig, cghz, dfs_ghz, ghz, random_orthogonal_pair
 from .analytic import (
     FitResult,
     ThresholdResult,
@@ -52,7 +52,6 @@ __all__ = [
     "fisher_information",
     "fit_exponential_tail",
     "ghz",
-    "logical_hadamard",
     "negativity",
     "random_orthogonal_pair",
     "transfer_coefficients",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .channels import survival
+from .channels import survival, transfer_coefficients
 from .states import BlockConfig
 
 DEFAULT_THRESHOLD_CAP = 10**15
@@ -36,7 +36,7 @@ def _block_deficit(m, p):
     step therefore doubles N at a fixed block value, and the N-block value
     is squared.
     """
-    a, b = (1 + p) / 2, (1 - p) / 2
+    a, b, _ = transfer_coefficients(p)  # validates p
     terms = [2.0 * math.comb(m, k) * a ** (m - k) * b**k for k in range(m // 2 + 1, m + 1)]
     if m % 2 == 0:
         terms.append(math.comb(m, m // 2) * (a * b) ** (m // 2))
@@ -47,7 +47,6 @@ def coherence_norm_block(m, p):
     """Trace norm of the decohered single-block coherence operator, in [0, 1]."""
     if m < 1:
         raise InputError(f"block size must be >= 1, got {m}")
-    p = survival(p)
     return 1.0 - _block_deficit(m, p)
 
 
@@ -57,7 +56,6 @@ def coherence_norm(cfg: BlockConfig, p):
     Evaluated as exp(N log1p(-deficit)) so nearly-frozen values stay exact
     for N far beyond 1e6.
     """
-    p = survival(p)
     if cfg.m < 1:
         raise InputError(f"block size must be >= 1, got {cfg.m}")
     deficit = _block_deficit(cfg.m, p)
@@ -79,22 +77,16 @@ def coherence_bound(cfg: BlockConfig, p):
 
 
 def _branch_weights(m, p):
-    """(d, o, q): diagonal sum/difference and coherence weight of the projected block."""
-    a, b = (1 + p) / 2, (1 - p) / 2
-    d = a**m + b**m
-    o = a**m - b**m
-    q = p**m
-    return d, o, q
+    """(d, q, log r) of the projected block: d = a^m + b^m, q = p^m, r = o/d with o = a^m - b^m.
 
-
-def _log_ratio(m, p):
-    """log(o/d), computed from the small deficit 2 b^m / d. -inf when o = 0."""
-    a, b = (1 + p) / 2, (1 - p) / 2
+    log r is computed from the small deficit 2 b^m / d; it is -inf when o = 0.
+    p is validated here.
+    """
+    a, b, p = transfer_coefficients(p)
     d = a**m + b**m
     deficit = 2 * b**m / d
-    if deficit >= 1.0:
-        return -math.inf
-    return math.log1p(-deficit)
+    log_r = math.log1p(-deficit) if deficit < 1.0 else -math.inf
+    return d, p**m, log_r
 
 
 def distill_fidelity(cfg: BlockConfig, p):
@@ -106,9 +98,7 @@ def distill_fidelity(cfg: BlockConfig, p):
     """
     if cfg.N < 2:
         raise InputError(f"distillation fidelity needs N >= 2, got N={cfg.N}")
-    p = survival(p)
-    d, _, q = _branch_weights(cfg.m, p)
-    log_r = _log_ratio(cfg.m, p)
+    d, q, log_r = _branch_weights(cfg.m, p)
     r_pow_n = math.exp(cfg.N * log_r) if log_r > -math.inf else 0.0
     r_pow_n2 = math.exp((cfg.N - 2) * log_r) if log_r > -math.inf else (1.0 if cfg.N == 2 else 0.0)
     return 0.25 * (1 + (q * q) / (d * d) * (1 + r_pow_n2) + r_pow_n)
@@ -174,8 +164,7 @@ def distill_tail_approx(m, N, p):
 
 def distill_tail_exact(m, N, p):
     """Exact r^N = (o/d)^N in log space, the quantity the approximation targets."""
-    p = survival(p)
-    log_r = _log_ratio(m, p)
+    _, _, log_r = _branch_weights(m, p)
     return math.exp(N * log_r) if log_r > -math.inf else 0.0
 
 
@@ -198,14 +187,18 @@ def fit_exponential_tail(points, window=None):
     """Fit log(value) vs N by least squares over a window of N values.
 
     `points` is an iterable of (N, value) pairs.  The default window is the
-    last half of the supplied N range.  Values inside the window must be
-    positive and at least three points must fall in it.
+    last half of the supplied N range, widened down to the third-largest N
+    when it holds fewer than three points (as on a power-of-two N axis).
+    Values inside the window must be positive and at least three points must
+    fall in it.
     """
     pts = sorted((float(n), float(v)) for n, v in points)
     if not pts:
         raise InputError("no points supplied")
     if window is None:
         lo = (pts[0][0] + pts[-1][0]) / 2
+        if len(pts) >= 3 and pts[-3][0] < lo:
+            lo = pts[-3][0]
         window = (lo, pts[-1][0])
     lo, hi = float(window[0]), float(window[1])
     sel = [(n, v) for n, v in pts if lo <= n <= hi]

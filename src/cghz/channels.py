@@ -68,7 +68,7 @@ class TransferCoefficients(NamedTuple):
 
 def transfer_coefficients(p):
     p = survival(p)
-    return TransferCoefficients(a=(1 + p) / 2, b=(1 - p) / 2, offdiag=p)
+    return TransferCoefficients((1 + p) / 2, (1 - p) / 2, p)
 
 
 def depolarize(mat, qubit, p):

@@ -23,17 +23,26 @@ from .states import BlockConfig, ghz, random_orthogonal_pair
 
 ENGINE_DISAGREEMENT_TOL = 1e-8
 
-QUANTITIES = ("coherence", "bound", "fidelity", "threshold", "negativity", "fisher")
-
-# engine preference order for --engine auto
-ENGINES = {
-    "coherence": ("analytic", "oracle"),
-    "bound": ("analytic",),
-    "fidelity": ("analytic", "oracle"),
-    "threshold": ("analytic",),
-    "negativity": ("spectral", "oracle"),
-    "fisher": ("spectral", "oracle"),
+# (quantity, engine) -> evaluation of (cfg, p, generator, threshold cap).  Per
+# quantity, the first engine listed is the --engine auto choice.  Each entry
+# looks its function up on the module at call time, so a rebound module
+# attribute (a tracer, a test double) is what runs.
+REGISTRY = {
+    ("coherence", "analytic"): lambda cfg, p, gen, cap: analytic.coherence_norm(cfg, p),
+    ("coherence", "oracle"): lambda cfg, p, gen, cap: oracle.coherence_norm(cfg, p),
+    ("bound", "analytic"): lambda cfg, p, gen, cap: analytic.coherence_bound(cfg, p),
+    ("fidelity", "analytic"): lambda cfg, p, gen, cap: analytic.distill_fidelity(cfg, p),
+    ("fidelity", "oracle"): lambda cfg, p, gen, cap: oracle.distill_protocol_average(cfg, p),
+    ("threshold", "analytic"): lambda cfg, p, gen, cap: analytic.distill_threshold(
+        cfg.m, p, cap=cap or analytic.DEFAULT_THRESHOLD_CAP
+    ),
+    ("negativity", "spectral"): lambda cfg, p, gen, cap: spectral.negativity(cfg, p),
+    ("negativity", "oracle"): lambda cfg, p, gen, cap: oracle.negativity(cfg, p),
+    ("fisher", "spectral"): lambda cfg, p, gen, cap: spectral.fisher_information(cfg, p, generator=gen),
+    ("fisher", "oracle"): lambda cfg, p, gen, cap: oracle.fisher(cfg, p, generator=gen),
 }
+
+QUANTITIES = tuple(dict.fromkeys(quantity for quantity, _ in REGISTRY))
 
 
 class _UsageError(Exception):
@@ -45,42 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _evaluate(quantity, engine, cfg, p, generator="block-x", threshold_cap=None):
-    """Dispatch one (quantity, engine) evaluation; returns a float or ThresholdResult."""
-    if quantity == "coherence":
-        if engine == "analytic":
-            return analytic.coherence_norm(cfg, p)
-        if engine == "oracle":
-            return oracle.coherence_norm(cfg, p)
-    elif quantity == "bound":
-        if engine == "analytic":
-            return analytic.coherence_bound(cfg, p)
-    elif quantity == "fidelity":
-        if engine == "analytic":
-            return analytic.distill_fidelity(cfg, p)
-        if engine == "oracle":
-            return oracle.distill_protocol_average(cfg, p)
-    elif quantity == "threshold":
-        if engine == "analytic":
-            cap = threshold_cap or analytic.DEFAULT_THRESHOLD_CAP
-            return analytic.distill_threshold(cfg.m, p, cap=cap)
-    elif quantity == "negativity":
-        if engine == "spectral":
-            return spectral.negativity(cfg, p)
-        if engine == "oracle":
-            return oracle.negativity(cfg, p)
-    elif quantity == "fisher":
-        if engine == "spectral":
-            return spectral.fisher_information(cfg, p, generator=generator)
-        if engine == "oracle":
-            return oracle.fisher(cfg, p, generator=generator)
-    raise InputError(f"engine {engine!r} does not support quantity {quantity!r}")
-
-
 def _engines_for(quantity, requested):
-    if quantity not in ENGINES:
+    supported = tuple(engine for q, engine in REGISTRY if q == quantity)
+    if not supported:
         raise _UsageError(f"unknown quantity {quantity!r}")
-    supported = ENGINES[quantity]
     if requested == "auto":
         return (supported[0],)
     if requested == "all":
@@ -92,14 +69,66 @@ def _engines_for(quantity, requested):
     return (requested,)
 
 
+def _evaluate_point(quantity, engines, cfg, p, generator, threshold_cap=None):
+    """Run each engine at one point: (values, errors, runtimes, max discrepancy).
+
+    Values are floats, or the printed form of a ThresholdResult.  An engine
+    that raises InputError or ResourceLimitError leaves its exception in
+    `errors` and no value; the other engines still run.
+    """
+    values, errors, runtimes = {}, {}, {}
+    for engine in engines:
+        start = time.perf_counter()
+        try:
+            value = REGISTRY[quantity, engine](cfg, p, generator, threshold_cap)
+        except (InputError, ResourceLimitError) as exc:
+            errors[engine] = exc
+            continue
+        runtimes[engine] = time.perf_counter() - start
+        values[engine] = str(value) if isinstance(value, analytic.ThresholdResult) else float(value)
+    numeric = [v for v in values.values() if isinstance(v, float)]
+    discrepancy = max(numeric) - min(numeric) if len(numeric) > 1 else 0.0
+    return values, errors, runtimes, discrepancy
+
+
+def _columns(last, engine_all):
+    """Record keys, which are also the CSV header: `last` is "runtime" (eval) or "error" (sweep)."""
+    return ("quantity", "N", "m", "p", "engine", "value", last) + (
+        ("max_discrepancy",) if engine_all else ()
+    )
+
+
+def _record(columns, *cells):
+    # zip drops the trailing discrepancy cell when the columns have no max_discrepancy
+    return dict(zip(columns, cells))
+
+
 def _fmt_value(value):
     if value is None:
         return ""
-    if isinstance(value, analytic.ThresholdResult):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return format(float(value), ".16e")
+
+
+_CELL_FORMAT = {"p": repr, "runtime": "{:.3f}".format}
+
+
+def _format_record(record):
+    return {key: _CELL_FORMAT.get(key, _fmt_value)(cell) for key, cell in record.items()}
+
+
+def _csv(columns, records, trailer=()):
+    rows = [",".join(columns)]
+    rows += [",".join(_format_record(r).values()) for r in records]
+    return "\n".join(rows + list(trailer)) + "\n"
+
+
+def _check_agreement(engine_all, discrepancy):
+    if engine_all and discrepancy > ENGINE_DISAGREEMENT_TOL:
+        raise ConsistencyError(
+            f"engines disagree by {discrepancy:.3e} (tolerance {ENGINE_DISAGREEMENT_TOL:g})"
+        )
 
 
 def _noise_from_args(args):
@@ -137,144 +166,99 @@ def _json_envelope(args, records):
 
 
 def _cmd_eval(args):
+    if args.N is None and args.quantity != "threshold":
+        raise _UsageError("--N is required for this quantity")
     p = _noise_from_args(args)
-    cfg = BlockConfig(N=args.N, m=args.m) if args.quantity != "threshold" else BlockConfig(N=2, m=args.m)
+    cfg = BlockConfig(N=args.N if args.quantity != "threshold" else 2, m=args.m)
     engines = _engines_for(args.quantity, args.engine)
-    records = []
-    for engine in engines:
-        start = time.perf_counter()
-        value = _evaluate(args.quantity, engine, cfg, p, generator=args.generator,
-                          threshold_cap=args.threshold_cap)
-        runtime = time.perf_counter() - start
-        records.append(
-            {
-                "quantity": args.quantity,
-                "N": args.N if args.N is not None else "",
-                "m": args.m,
-                "p": p,
-                "engine": engine,
-                "value": str(value) if isinstance(value, analytic.ThresholdResult) else float(value),
-                "runtime": runtime,
-            }
-        )
-    numeric = [r["value"] for r in records if isinstance(r["value"], float)]
-    discrepancy = max(numeric) - min(numeric) if len(numeric) > 1 else 0.0
-    if args.engine == "all":
-        for r in records:
-            r["max_discrepancy"] = discrepancy
-    if args.json:
-        _write_output(_json_envelope(args, records), args.out)
-    else:
-        header = "quantity,N,m,p,engine,value,runtime"
-        if args.engine == "all":
-            header += ",max_discrepancy"
-        lines = [header]
-        for r in records:
-            val = r["value"] if isinstance(r["value"], str) else _fmt_value(r["value"])
-            line = f"{r['quantity']},{r['N']},{r['m']},{r['p']!r},{r['engine']},{val},{r['runtime']:.3f}"
-            if args.engine == "all":
-                line += f",{_fmt_value(discrepancy)}"
-            lines.append(line)
-        _write_output("\n".join(lines) + "\n", args.out)
-    if args.engine == "all" and discrepancy > ENGINE_DISAGREEMENT_TOL:
-        raise ConsistencyError(
-            f"engines disagree by {discrepancy:.3e} (tolerance {ENGINE_DISAGREEMENT_TOL:g})"
-        )
+    values, errors, runtimes, discrepancy = _evaluate_point(
+        args.quantity, engines, cfg, p, args.generator, args.threshold_cap
+    )
+    if errors:
+        raise next(iter(errors.values()))
+    columns = _columns("runtime", args.engine == "all")
+    n_cell = args.N if args.N is not None else ""
+    records = [
+        _record(columns, args.quantity, n_cell, args.m, p, e, values[e], runtimes[e], discrepancy)
+        for e in engines
+    ]
+    _write_output(_json_envelope(args, records) if args.json else _csv(columns, records), args.out)
+    _check_agreement(args.engine == "all", discrepancy)
     return 0
 
 
 # ---------------------------------------------------------------- sweep
 
 
+def _parse_list(flag, text, convert=int, sep=","):
+    """Split and convert a --flag value; a malformed item is a usage error."""
+    try:
+        return [convert(x) for x in text.split(sep)]
+    except ValueError:
+        raise _UsageError(f"bad {flag} {text!r}") from None
+
+
 def _parse_n_values(args):
     if args.n_list:
-        return [int(x) for x in args.n_list.split(",")]
+        return _parse_list("--n-list", args.n_list)
     if args.n_pow2:
-        lo, hi = (int(x) for x in args.n_pow2.split(":"))
-        return [2**k for k in range(lo, hi + 1)]
+        bounds = _parse_list("--n-pow2", args.n_pow2, sep=":")
+        if len(bounds) != 2:
+            raise _UsageError(f"bad --n-pow2 {args.n_pow2!r}")
+        return [2**k for k in range(bounds[0], bounds[1] + 1)]
     if args.n_range:
-        parts = [int(x) for x in args.n_range.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
+        parts = _parse_list("--n-range", args.n_range, sep=":")
+        if len(parts) not in (2, 3) or parts[2:] == [0]:
             raise _UsageError(f"bad --n-range {args.n_range!r}")
+        lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
         return list(range(lo, hi + 1, step))
     raise _UsageError("give one of --n-range, --n-list, --n-pow2")
-
-
-def _parse_m_values(args):
-    if args.m_list == "log2":
-        return "log2"
-    return [int(x) for x in args.m_list.split(",")]
 
 
 def _cmd_sweep(args):
     if args.quantity == "threshold":
         raise _UsageError("threshold has no N axis; use `eval threshold`")
     n_values = _parse_n_values(args)
-    m_values = _parse_m_values(args)
-    p_values = [survival(float(x)) for x in args.p_list.split(",")]
+    m_iter = ["log2"] if args.m_list == "log2" else sorted(_parse_list("--m", args.m_list))
+    p_values = [survival(x) for x in _parse_list("--p", args.p_list, float)]
     engines = _engines_for(args.quantity, args.engine)
-    header = "quantity,N,m,p,engine,value,error"
-    if args.engine == "all":
-        header += ",max_discrepancy"
-    rows = [header]
+    columns = _columns("error", args.engine == "all")
+    records = []
     series = {}
     worst = 0.0
-    m_iter = ["log2"] if m_values == "log2" else sorted(m_values)
     for m in m_iter:
         for p in p_values:
             for n in n_values:
                 m_eff = max(1, math.ceil(math.log2(n))) if m == "log2" else m
                 cfg = BlockConfig(N=n, m=m_eff)
-                values = {}
-                errors = {}
-                for engine in engines:
-                    try:
-                        v = _evaluate(args.quantity, engine, cfg, p, generator=args.generator)
-                        values[engine] = float(v)
-                    except (InputError, ResourceLimitError) as exc:
-                        # keep the error cell comma-free so the CSV stays parseable
-                        errors[engine] = f"{engine}: {exc}".replace(",", ";")
-                disc = max(values.values()) - min(values.values()) if len(values) > 1 else 0.0
+                values, errors, _, disc = _evaluate_point(args.quantity, engines, cfg, p, args.generator)
                 worst = max(worst, disc)
                 for engine in engines:
-                    cells = [
-                        args.quantity,
-                        str(n),
-                        str(m_eff),
-                        repr(p),
-                        engine,
-                        _fmt_value(values.get(engine)),
-                        errors.get(engine, ""),
-                    ]
-                    if args.engine == "all":
-                        cells.append(_fmt_value(disc))
-                    rows.append(",".join(cells))
+                    # keep the error cell comma-free so the CSV stays parseable
+                    error = f"{engine}: {errors[engine]}".replace(",", ";") if engine in errors else ""
+                    records.append(
+                        _record(columns, args.quantity, n, m_eff, p, engine, values.get(engine), error, disc)
+                    )
                 primary = engines[0]
                 if primary in values:
                     series.setdefault((m_eff, p, primary), []).append((n, values[primary]))
+    fits = []
     if args.fit:
         for (m_eff, p, engine), pts in sorted(series.items()):
             positive = [(n, v) for n, v in pts if v > 0]
             if len(positive) < 3:
                 continue
             fit = analytic.fit_exponential_tail(positive)
-            rows.append(
+            fits.append(
                 f"#fit,{args.quantity},m={m_eff},p={p!r},engine={engine}"
                 f",a={_fmt_value(fit.amplitude)},gamma={_fmt_value(fit.rate)}"
                 f",residual={_fmt_value(fit.residual)},window={fit.window[0]:g}:{fit.window[1]:g}"
             )
     if args.json:
-        header_cells = rows[0].split(",")
-        records = [dict(zip(header_cells, r.split(","))) for r in rows[1:] if not r.startswith("#")]
-        _write_output(_json_envelope(args, records), args.out)
+        _write_output(_json_envelope(args, [_format_record(r) for r in records]), args.out)
     else:
-        _write_output("\n".join(rows) + "\n", args.out)
-    if args.engine == "all" and worst > ENGINE_DISAGREEMENT_TOL:
-        raise ConsistencyError(f"engines disagree by {worst:.3e}")
+        _write_output(_csv(columns, records, fits), args.out)
+    _check_agreement(args.engine == "all", worst)
     return 0
 
 
@@ -421,9 +405,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "quantity", None) != "threshold" and hasattr(args, "N"):
-            if args.N is None and args.func is _cmd_eval:
-                raise _UsageError("--N is required for this quantity")
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

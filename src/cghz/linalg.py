@@ -37,11 +37,6 @@ def check_qubit_budget(q, cap=DENSE_QUBIT_CAP, what="dense operation"):
         raise ResourceLimitError(f"{what} needs {q} qubits, cap is {cap}")
 
 
-def kron(a, b):
-    """Kronecker product; qubit counts add."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(ops):
     out = np.array([[1.0 + 0j]])
     for op in ops:

@@ -2,20 +2,21 @@
 
 The decohered state is (1/2) sum over sign pairs (a, b) of R_ab^(x)N with
 R_ab = E^(x)m |GHZ^a><GHZ^b|.  Every R_ab is block diagonal over doublets
-{|k>, |~k>}; with u = alpha^(m-w) beta^w, v = alpha^w beta^(m-w) at lighter
-weight w (alpha, beta the population transfer coefficients) the 2x2
-restrictions are
+{|k>, |~k>}.  With u_w = alpha^(m-w) beta^w and v_w = alpha^w beta^(m-w) at
+lighter weight w (alpha, beta the population transfer coefficients), the
+noisy block is fixed by one table of scalars, for every w including 0:
 
-    w >= 1:  B_ab = (u + ab v)/2 on |k>,  (v + ab u)/2 on |~k>
-    w = 0 :  B_ab = (1/2) [[u + ab v, b q], [a q, v + ab u]],  q = p^m,
+    s_w = (u_w + v_w)/2,   t_w = (u_w - v_w)/2,   q = p^m.
 
-so same-sign channels act as scalars s_w = (u+v)/2 and cross channels as
-+/- t_w = (u-v)/2 on every w >= 1 doublet, while all non-commutativity sits
-in the weight-0 (logical) doublet.  A *sector* assigns one doublet class to
-each block; only the multiset of classes matters, giving multinomial
-multiplicities times per-class doublet counts.  Inside a sector with n
-logical blocks, rotating each logical doublet by a Hadamard leaves a second
-doublet structure over n-bit strings x, and every eigenvalue is
+On a w >= 1 doublet the same-sign channels act as the scalar s_w and the
+cross channels as +t_w on |k>, -t_w on |~k>.  The weight-0 (logical)
+doublet has the same diagonal plus the only off-diagonal entries,
+b q/2 above and a q/2 below, so all non-commutativity sits there.  A
+*sector* assigns one doublet class to each block; only the multiset of
+classes matters, giving multinomial multiplicities times per-class doublet
+counts.  Inside a sector with n logical blocks, rotating each logical
+doublet by a Hadamard leaves a second doublet structure over n-bit strings
+x, and every eigenvalue is
 
     ( S g_h  +/-  T c_h ) / 2,            h = |x|,
 
@@ -24,12 +25,13 @@ with S, T the products of s_w, t_w over the non-logical blocks and
     g_h = e+^(n-h) e-^h + e+^h e-^(n-h),   e+- = (d +/- q)/2,
     c_h = f+^(n-h) f-^h + f+^h f-^(n-h),   f+- = (o +/- q)/2,
 
-where d, o are the sum and difference of the logical populations
-alpha^m +/- beta^m.  Partially transposing the first block replaces c_h by
-the shifted cross weight gamma_h = f+^(h+1) f-^(n-1-h) + f+^(n-1-h) f-^(h+1),
-which is what feeds the negativity.  The block-local generator
-sum_k sigma_x^(x)m preserves every doublet, so Fisher-information matrix
-elements are intra-sector and close in the same 2x2 data.
+where d = 2 s_0 and o = 2 t_0 are the sum and difference of the logical
+populations alpha^m +/- beta^m.  Partially transposing the first block
+replaces c_h by the shifted cross weight
+gamma_h = f+^(h+1) f-^(n-1-h) + f+^(n-1-h) f-^(h+1), which is what feeds the
+negativity.  The block-local generator sum_k sigma_x^(x)m preserves every
+doublet, so Fisher-information matrix elements are intra-sector and close
+in the same scalar table.
 
 Multiplicity bookkeeping is exact integer arithmetic throughout; reductions
 accumulate with math.fsum.
@@ -41,28 +43,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .channels import survival
+from .channels import transfer_coefficients
 from .states import BlockConfig
 
 DEFAULT_SECTOR_CAP = 2_000_000
 
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@dataclass(frozen=True)
-class WeightClassData:
-    """Per-class doublet count and the four 2x2 channel restrictions."""
-
-    weight: int
-    doublet_count: int
-    blocks: dict  # (a, b) sign pair -> 2x2 complex ndarray
-
 
 @dataclass(frozen=True)
 class DoubletAlgebra:
+    """The scalars through which the noisy block acts on every doublet class.
+
+    Index w is the lighter Hamming weight of the doublet, 0..m//2.
+    """
+
     m: int
     p: float
-    classes: tuple  # WeightClassData, index = weight
+    q: float  # logical coherence p^m
+    counts: tuple  # doublets per class
+    s: tuple  # same-sign weights (u_w + v_w)/2
+    t: tuple  # cross weights (u_w - v_w)/2
 
 
 def doublet_count(m, w):
@@ -75,36 +74,27 @@ def doublet_count(m, w):
 
 
 def doublet_algebra(m, p):
-    """Exact 2x2 restrictions of E^(x)m |GHZ^a><GHZ^b| on every doublet class."""
+    """Exact scalar table (q, counts, s, t) of E^(x)m |GHZ^a><GHZ^b| over doublet classes."""
     if m < 1:
         raise InputError(f"block size must be >= 1, got {m}")
-    p = survival(p)
-    alpha, beta = (1 + p) / 2, (1 - p) / 2
-    q = p**m
-    classes = []
-    for w in range(m // 2 + 1):
-        u = alpha ** (m - w) * beta**w
-        v = alpha**w * beta ** (m - w)
-        blocks = {}
-        for a, b in _SIGNS:
-            if w == 0:
-                blk = 0.5 * np.array(
-                    [[u + a * b * v, b * q], [a * q, v + a * b * u]], dtype=complex
-                )
-            else:
-                blk = 0.5 * np.array(
-                    [[u + a * b * v, 0.0], [0.0, v + a * b * u]], dtype=complex
-                )
-            blocks[(a, b)] = blk
-        classes.append(WeightClassData(weight=w, doublet_count=doublet_count(m, w), blocks=blocks))
-    return DoubletAlgebra(m=m, p=p, classes=tuple(classes))
+    alpha, beta, p = transfer_coefficients(p)
+    weights = range(m // 2 + 1)
+    u = [alpha ** (m - w) * beta**w for w in weights]
+    v = [alpha**w * beta ** (m - w) for w in weights]
+    return DoubletAlgebra(
+        m=m,
+        p=p,
+        q=p**m,
+        counts=tuple(doublet_count(m, w) for w in weights),
+        s=tuple((uw + vw) / 2 for uw, vw in zip(u, v)),
+        t=tuple((uw - vw) / 2 for uw, vw in zip(u, v)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     eigenvalue: float
     multiplicity: int  # exact
-    sector: tuple  # composition of N over weight classes
 
 
 @dataclass(frozen=True)
@@ -135,25 +125,12 @@ class _Engine:
     """Shared scalar data for the sector sums at one (N, m, p)."""
 
     def __init__(self, cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
-        p = survival(p)
+        alg = doublet_algebra(cfg.m, p)
         self.cfg = cfg
-        self.p = p
-        m = cfg.m
-        alpha, beta = (1 + p) / 2, (1 - p) / 2
-        q = p**m
-        d = alpha**m + beta**m
-        o = alpha**m - beta**m
-        self.e_plus, self.e_minus = (d + q) / 2, (d - q) / 2
-        self.f_plus, self.f_minus = (o + q) / 2, (o - q) / 2
-        self.n_classes = m // 2 + 1
-        self.s = [0.0] * self.n_classes
-        self.t = [0.0] * self.n_classes
-        self.counts = [doublet_count(m, w) for w in range(self.n_classes)]
-        for w in range(1, self.n_classes):
-            u = alpha ** (m - w) * beta**w
-            v = alpha**w * beta ** (m - w)
-            self.s[w] = (u + v) / 2
-            self.t[w] = (u - v) / 2
+        self.s, self.t, self.counts = alg.s, alg.t, alg.counts
+        self.n_classes = len(alg.s)
+        self.e_plus, self.e_minus = (2 * alg.s[0] + alg.q) / 2, (2 * alg.s[0] - alg.q) / 2
+        self.f_plus, self.f_minus = (2 * alg.t[0] + alg.q) / 2, (2 * alg.t[0] - alg.q) / 2
         n_sectors = math.comb(cfg.N + self.n_classes - 1, self.n_classes - 1)
         if n_sectors > max_sectors:
             raise ResourceLimitError(
@@ -216,16 +193,16 @@ def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
         K, S, T = eng.sector_factors(comp)
         if n == 0:
             half = K * (1 << (N - 1))
-            entries.append(SpectrumEntry(S + T, half, comp))
-            entries.append(SpectrumEntry(S - T, half, comp))
+            entries.append(SpectrumEntry(S + T, half))
+            entries.append(SpectrumEntry(S - T, half))
             continue
         zmult = 1 << (N - n)
         g, c = eng.g_c_arrays(n)
         for h in range(n // 2 + 1):
             cnt = math.comb(n, h) // 2 if 2 * h == n else math.comb(n, h)
             mult = K * zmult * cnt
-            entries.append(SpectrumEntry((S * g[h] + T * c[h]) / 2, mult, comp))
-            entries.append(SpectrumEntry((S * g[h] - T * c[h]) / 2, mult, comp))
+            entries.append(SpectrumEntry((S * g[h] + T * c[h]) / 2, mult))
+            entries.append(SpectrumEntry((S * g[h] - T * c[h]) / 2, mult))
     return SectorSpectrum(entries=tuple(entries), total_dim=1 << (N * cfg.m))
 
 

@@ -1,4 +1,4 @@
-"""State constructors: GHZ, concatenated GHZ, DFS-encoded blocks, doublet Hadamard.
+"""State constructors: GHZ, concatenated GHZ, DFS-encoded blocks, random pairs.
 
 A block configuration (N, m) means N logical blocks of m physical qubits.
 The concatenated state is the balanced superposition of the N-fold tensor
@@ -7,8 +7,7 @@ powers of the two m-qubit GHZ states,
     (1/sqrt2) (|GHZ_m^+>^(x)N + |GHZ_m^->^(x)N).
 
 A *doublet* is the two-dimensional span of a basis string and its bitwise
-complement; decohered GHZ-block operators are block diagonal over doublets,
-which is what the doublet Hadamard below aligns.
+complement; decohered GHZ-block operators are block diagonal over doublets.
 """
 
 from dataclasses import dataclass
@@ -76,38 +75,6 @@ def dfs_ghz(m, sign=+1):
     va = linalg.kron_all([zero_one] * (m // 2)).reshape(-1)
     vb = linalg.kron_all([one_zero] * (m // 2)).reshape(-1)
     return (va + sign * vb) / np.sqrt(2)
-
-
-def doublet_representative(k, m):
-    """Canonical member of the doublet {k, ~k}: lower Hamming weight, ties by lower integer."""
-    comp = (~k) & ((1 << m) - 1)
-    wk, wc = bin(k).count("1"), bin(comp).count("1")
-    if wk != wc:
-        return k if wk < wc else comp
-    return min(k, comp)
-
-
-def logical_hadamard(m):
-    """Unitary acting as the 2x2 Hadamard inside every doublet {|k>, |~k>}.
-
-    Maps |GHZ_m^+> to |0>^m and |GHZ_m^-> to |1>^m; squares to the identity.
-    The canonical doublet member (see doublet_representative) plays the role
-    of |0> in each 2x2 block.
-    """
-    linalg.check_qubit_budget(m, what="logical hadamard")
-    dim = 1 << m
-    u = np.zeros((dim, dim), dtype=complex)
-    r = 1 / np.sqrt(2)
-    for k in range(dim):
-        rep = doublet_representative(k, m)
-        comp = (~rep) & (dim - 1)
-        if k != rep:
-            continue
-        u[rep, rep] = r
-        u[comp, rep] = r
-        u[rep, comp] = r
-        u[comp, comp] = -r
-    return u
 
 
 def random_orthogonal_pair(m, seed):

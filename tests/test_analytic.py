@@ -215,6 +215,14 @@ class TestFitExponentialTail:
         fit = fit_exponential_tail(pts)
         assert fit.window == (5.0, 10.0)
 
+    def test_default_window_widens_on_power_of_two_axis(self):
+        # the upper half of N = 2^4..2^10 holds only N = 1024; the window widens to 256
+        pts = [(2**k, 3.0 * math.exp(-0.01 * 2**k)) for k in range(4, 11)]
+        fit = fit_exponential_tail(pts)
+        assert fit.window == (256.0, 1024.0)
+        assert fit.rate == pytest.approx(0.01, rel=1e-10)
+        assert fit.amplitude == pytest.approx(3.0, rel=1e-10)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             fit_exponential_tail([(1, 1.0), (2, 0.0), (3, 1.0)])
@@ -229,7 +237,7 @@ def test_tail_ratio_drives_fidelity():
     m, p = 3, 0.9
     for n_blocks in (2, 5, 17):
         tail = distill_tail_exact(m, n_blocks, p)
-        d, o, q = analytic._branch_weights(m, p)
+        d, q, _ = analytic._branch_weights(m, p)
         tail2 = distill_tail_exact(m, n_blocks - 2, p)
         expected = 0.25 * (1 + q * q / (d * d) * (1 + tail2) + tail)
         assert distill_fidelity(BlockConfig(n_blocks, m), p) == pytest.approx(expected, rel=1e-12)

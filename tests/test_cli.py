@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cghz import spectral
 from cghz.cli import main
 from cghz.circuits import parse_circuit
 
@@ -102,6 +103,79 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--n-list", "2,x"), ("--m", "1,y"), ("--p", "0.9,z"), ("--n-range", "2:8:0")]
+    )
+    def test_malformed_sweep_axis(self, capsys, flag, value):
+        axes = {"--n-list": "2,3", "--m": "1", "--p": "0.9"}
+        if flag == "--n-range":
+            del axes["--n-list"]
+        axes[flag] = value
+        argv = [token for pair in axes.items() for token in pair]
+        code, _, err = run(capsys, "sweep", "coherence", *argv)
+        assert code == 1
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("eval", "negativity", "--N", "3", "--m", "1", "--p", "0.9"),
+            ("sweep", "negativity", "--n-list", "2,3", "--m", "1", "--p", "0.9"),
+        ],
+    )
+    def test_engine_disagreement(self, capsys, monkeypatch, command):
+        # engines are looked up on their module at call time, so the patched
+        # attribute is what the CLI runs
+        true_negativity = spectral.negativity
+        monkeypatch.setattr(spectral, "negativity", lambda cfg, p: true_negativity(cfg, p) + 1e-6)
+        code, _, err = run(capsys, *command, "--engine", "all")
+        assert code == 3
+        assert "consistency error" in err
+
+
+class TestJsonRecords:
+    def test_eval_records_are_numeric(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "negativity", "--N", "3", "--m", "1", "--p", "0.9",
+            "--engine", "all", "--json",
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [r["engine"] for r in records] == ["spectral", "oracle"]
+        for r in records:
+            assert list(r) == ["quantity", "N", "m", "p", "engine", "value", "runtime", "max_discrepancy"]
+            assert (r["quantity"], r["N"], r["m"], r["p"]) == ("negativity", 3, 1, 0.9)
+            assert isinstance(r["value"], float)
+            assert isinstance(r["runtime"], float)
+            assert isinstance(r["max_discrepancy"], float)
+
+    def test_threshold_record_value_is_text(self, capsys):
+        code, out, _ = run(capsys, "eval", "threshold", "--m", "3", "--p", "0.5", "--json")
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert (record["N"], record["value"]) == ("", "2")
+        assert isinstance(record["runtime"], float)
+
+    def test_sweep_records_are_csv_cells(self, capsys):
+        argv = ("sweep", "negativity", "--n-list", "2,13", "--m", "1", "--p", "0.9", "--engine", "all")
+        _, csv_text, _ = run(capsys, *argv)
+        docs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0
+            docs.append(json.loads(out))
+        header, *rows = csv_text.splitlines()
+        assert header == "quantity,N,m,p,engine,value,error,max_discrepancy"
+        records = docs[0]["records"]
+        assert records == [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert all(isinstance(cell, str) for r in records for cell in r.values())
+        failed = [r for r in records if r["N"] == "13" and r["engine"] == "oracle"]
+        assert failed[0]["value"] == "" and failed[0]["error"].startswith("oracle: ")
+        # only the wall-clock timestamp differs between runs
+        for doc in docs:
+            del doc["timestamp"]
+        assert docs[0] == docs[1]
+
 
 class TestSweep:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -176,6 +250,15 @@ class TestSweep:
         failed = [ln for ln in lines if ln.split(",")[1] == "13"]
         assert ok[0].split(",")[5] != ""
         assert "oracle" in failed[0].split(",")[6]
+
+    def test_fit_on_power_of_two_axis(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "coherence", "--n-pow2", "4:10", "--m", "3", "--p", "0.9", "--fit"
+        )
+        assert code == 0
+        fit_lines = [ln for ln in out.splitlines() if ln.startswith("#fit")]
+        assert len(fit_lines) == 1
+        assert fit_lines[0].endswith(",window=256:1024")
 
     def test_log2_block_sizes(self, tmp_path, capsys):
         path = tmp_path / "log2.csv"

@@ -16,9 +16,18 @@ from cghz.spectral import (
     fisher_information,
     negativity,
 )
-from cghz.states import BlockConfig, doublet_representative, ghz
+from cghz.states import BlockConfig, ghz
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def doublet_representative(k, m):
+    """Canonical member of the doublet {k, ~k}: lower Hamming weight, ties by lower integer."""
+    comp = (~k) & ((1 << m) - 1)
+    wk, wc = bin(k).count("1"), bin(comp).count("1")
+    if wk != wc:
+        return k if wk < wc else comp
+    return min(k, comp)
 
 
 def dense_cross_operator(m, a, b, p):
@@ -26,32 +35,46 @@ def dense_cross_operator(m, a, b, p):
     return depolarize_all(op, p)
 
 
+def restriction(alg, w, a, b):
+    """2x2 restriction of E^(x)m |GHZ^a><GHZ^b| to a class-w doublet, from the (s, t, q) table.
+
+    Same-sign channels act as s_w on both members, cross channels as +t_w on
+    the lighter member and -t_w on its complement; only the logical (w = 0)
+    doublet carries the coherence q, as b q/2 above and a q/2 below the
+    diagonal.
+    """
+    s, t = alg.s[w], alg.t[w]
+    diag = (s, s) if a == b else (t, -t)
+    off = alg.q / 2 if w == 0 else 0.0
+    return np.array([[diag[0], b * off], [a * off, diag[1]]], dtype=complex)
+
+
 class TestDoubletAlgebra:
     def test_multiplicities(self):
         for m in range(1, 9):
             alg = doublet_algebra(m, 0.9)
-            total = sum(c.doublet_count for c in alg.classes)
+            total = sum(alg.counts)
             assert total == 2 ** (m - 1)
-            assert alg.classes[0].doublet_count == 1
+            assert alg.counts[0] == 1
             if m % 2 == 0:
-                assert alg.classes[m // 2].doublet_count == math.comb(m, m // 2) // 2
+                assert alg.counts[m // 2] == math.comb(m, m // 2) // 2
 
     def test_noiseless_blocks(self):
         alg = doublet_algebra(3, 1.0)
         # w = 0 same-sign block is the pure GHZ projector restricted to the doublet
         np.testing.assert_allclose(
-            alg.classes[0].blocks[(1, 1)], np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-14
+            restriction(alg, 0, 1, 1), np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-14
         )
-        for c in alg.classes[1:]:
-            for blk in c.blocks.values():
-                np.testing.assert_allclose(blk, 0, atol=1e-14)
+        for w in range(1, len(alg.s)):
+            for a, b in SIGNS:
+                np.testing.assert_allclose(restriction(alg, w, a, b), 0, atol=1e-14)
 
     def test_m1_reproduces_channel_action(self):
         p = 0.7
         alg = doublet_algebra(1, p)
         for a, b in SIGNS:
             dense = dense_cross_operator(1, a, b, p)
-            np.testing.assert_allclose(alg.classes[0].blocks[(a, b)], dense, atol=1e-14)
+            np.testing.assert_allclose(restriction(alg, 0, a, b), dense, atol=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("p", [0.3, 0.9])
@@ -67,7 +90,7 @@ class TestDoubletAlgebra:
                 seen.add(rep)
                 comp = (~rep) & (2**m - 1)
                 w = min(bin(rep).count("1"), bin(comp).count("1"))
-                blk = alg.classes[w].blocks[(a, b)]
+                blk = restriction(alg, w, a, b)
                 got = np.array(
                     [
                         [dense[rep, rep], dense[rep, comp]],
@@ -91,16 +114,23 @@ class TestDoubletAlgebra:
             alg = doublet_algebra(m, 0.6)
             for pair in ((1, 1), (-1, -1)):
                 total = sum(
-                    c.doublet_count * np.trace(c.blocks[pair]).real for c in alg.classes
+                    count * np.trace(restriction(alg, w, *pair)).real
+                    for w, count in enumerate(alg.counts)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_coherence_confined_to_logical_doublet(self):
-        alg = doublet_algebra(4, 0.8)
-        for c in alg.classes[1:]:
+        m = 4
+        alg = doublet_algebra(m, 0.8)
+        for w in range(1, len(alg.s)):
             for pair in ((1, -1), (-1, 1)):
-                assert abs(c.blocks[pair][0, 1]) < 1e-15
-                assert abs(c.blocks[pair][1, 0]) < 1e-15
+                assert abs(restriction(alg, w, *pair)[0, 1]) < 1e-15
+                assert abs(restriction(alg, w, *pair)[1, 0]) < 1e-15
+        # the dense cross operator agrees: its only in-doublet coherence is logical
+        for pair in ((1, -1), (-1, 1)):
+            dense = dense_cross_operator(m, *pair, 0.8)
+            for k in range(1, 2**m - 1):
+                assert abs(dense[k, (~k) & (2**m - 1)]) < 1e-15
 
 
 class TestSpectrum:

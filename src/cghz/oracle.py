@@ -62,23 +62,20 @@ def generic_coherence_norm(a, b, N, p):
 
 def spectrum(cfg: BlockConfig, p):
     """Ascending eigenvalues of the dense decohered state."""
-    evals, _ = linalg.eig_hermitian(decohered_cghz(cfg, p))
-    return evals
+    return linalg.eigvals_hermitian(decohered_cghz(cfg, p))
 
 
 def negativity(cfg: BlockConfig, p):
     """Negativity across one block vs the rest, from the dense partial transpose."""
-    rho = decohered_cghz(cfg, p)
-    pt = linalg.partial_transpose(rho, range(cfg.m))
-    evals, _ = linalg.eig_hermitian(pt)
+    evals = linalg.eigvals_hermitian(linalg.partial_transpose(decohered_cghz(cfg, p), range(cfg.m)))
     return float(-np.sum(evals[evals < 0]))
 
 
 def block_x_generator(cfg: BlockConfig):
     """sum_k sigma_x^(x)m acting on block k, as a dense matrix."""
     linalg.check_qubit_budget(cfg.qubits, what="generator")
-    xm = linalg.kron_all([linalg.PAULI_X] * cfg.m)
-    total = np.zeros((2**cfg.qubits, 2**cfg.qubits), dtype=complex)
+    xm = linalg.kron_all([linalg.PAULI_X.real] * cfg.m)
+    total = np.zeros((2**cfg.qubits, 2**cfg.qubits))
     for k in range(cfg.N):
         total += linalg.kron_all(
             [np.eye(2 ** (cfg.m * k)), xm, np.eye(2 ** (cfg.m * (cfg.N - 1 - k)))]
@@ -89,10 +86,10 @@ def block_x_generator(cfg: BlockConfig):
 def single_z_generator(n_qubits):
     """sum_j sigma_z^(j) over all physical qubits, as a dense matrix."""
     linalg.check_qubit_budget(n_qubits, what="generator")
-    total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    total = np.zeros((2**n_qubits, 2**n_qubits))
     for j in range(n_qubits):
         total += linalg.kron_all(
-            [np.eye(2**j), linalg.PAULI_Z, np.eye(2 ** (n_qubits - 1 - j))]
+            [np.eye(2**j), linalg.PAULI_Z.real, np.eye(2 ** (n_qubits - 1 - j))]
         )
     return total
 
@@ -104,8 +101,8 @@ def fisher_dense(rho, gen, pair_skip=FISHER_PAIR_SKIP):
     nothing.  Requires a Hermitian PSD unit-trace rho and a Hermitian
     generator of the same dimension.
     """
-    rho = np.asarray(rho, dtype=complex)
-    gen = np.asarray(gen, dtype=complex)
+    rho = np.asarray(rho)
+    gen = np.asarray(gen)
     if rho.shape != gen.shape:
         raise InputError(f"shape mismatch: {rho.shape} vs {gen.shape}")
     evals, evecs = linalg.eig_hermitian(rho)
@@ -133,21 +130,12 @@ def fisher(cfg: BlockConfig, p, generator="block-x"):
     return fisher_dense(rho, gen)
 
 
-def _logical_vectors(m):
-    zero = np.zeros(2**m, dtype=complex)
-    zero[0] = 1.0
-    one = np.zeros(2**m, dtype=complex)
-    one[-1] = 1.0
-    return zero, one
-
-
 def _project_logical(cfg, rho):
-    """Project every block onto span{|0..0>, |1..1>} (unnormalized)."""
-    pb = np.zeros((2**cfg.m, 2**cfg.m), dtype=complex)
-    pb[0, 0] = 1.0
-    pb[-1, -1] = 1.0
-    proj = linalg.kron_all([pb] * cfg.N)
-    return proj @ rho @ proj
+    """Project every block onto span{|0..0>, |1..1>} (unnormalized): P rho P as a 0/1 mask."""
+    block = np.zeros(2**cfg.m)
+    block[[0, -1]] = 1.0
+    keep = linalg.kron_all([block] * cfg.N).reshape(-1)
+    return rho * np.outer(keep, keep)
 
 
 def distill_protocol_fidelity(cfg: BlockConfig, p, kept_pair=(0, 1), outcomes=()):
@@ -158,7 +146,7 @@ def distill_protocol_fidelity(cfg: BlockConfig, p, kept_pair=(0, 1), outcomes=()
     (a logical bit flip on the first kept block when the record has odd
     parity), and returns the overlap with (|0_L 0_L> + |1_L 1_L>)/sqrt2.
     """
-    _, prob, fid = _protocol_single(cfg, p, kept_pair, tuple(outcomes))
+    [(_, prob, fid)] = _protocol_records(cfg, p, kept_pair, [tuple(outcomes)])
     if prob <= 1e-14:
         raise ZeroProbabilityError(f"outcome {tuple(outcomes)} has probability {prob:.3e}")
     return fid
@@ -168,10 +156,7 @@ def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
     """All measurement records with probabilities and corrected fidelities."""
     if cfg.N < 2:
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
-    records = []
-    for outcome in product((0, 1), repeat=cfg.N - 2):
-        records.append(_protocol_single(cfg, p, kept_pair, outcome))
-    return records
+    return _protocol_records(cfg, p, kept_pair, product((0, 1), repeat=cfg.N - 2))
 
 
 def distill_protocol_average(cfg: BlockConfig, p, kept_pair=(0, 1)):
@@ -182,7 +167,8 @@ def distill_protocol_average(cfg: BlockConfig, p, kept_pair=(0, 1)):
     return math.fsum(prob * fid for prob, fid in live) / total
 
 
-def _protocol_single(cfg, p, kept_pair, outcome):
+def _protocol_records(cfg, p, kept_pair, outcomes):
+    """(outcome, probability, corrected fidelity) for each record, from one projected state."""
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
     if cfg.N < 2:
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
@@ -191,35 +177,34 @@ def _protocol_single(cfg, p, kept_pair, outcome):
         raise InputError(f"kept pair {kept_pair} invalid for N={cfg.N}")
     kept = sorted((i, j))
     measured = [b for b in range(cfg.N) if b not in kept]
-    if len(outcome) != len(measured):
-        raise InputError(f"expected {len(measured)} outcome bits, got {len(outcome)}")
+    outcomes = [tuple(outcome) for outcome in outcomes]
+    for outcome in outcomes:
+        if len(outcome) != len(measured):
+            raise InputError(f"expected {len(measured)} outcome bits, got {len(outcome)}")
 
     rho = _project_logical(cfg, decohered_cghz(cfg, p))
     weight = float(np.real(np.trace(rho)))
 
-    m = cfg.m
-    dim_b = 2**m
+    dim_b = 2**cfg.m
     # reorder blocks to (kept..., measured...); the measured logical states
     # |0_L>, |1_L> are computational basis vectors, so conditioning on an
     # outcome record is direct indexing
     order = kept + measured
     axes = order + [cfg.N + b for b in order]
-    t = rho.reshape((dim_b,) * (2 * cfg.N)).transpose(axes)
     dk, dm = dim_b**2, dim_b ** (cfg.N - 2)
-    t = t.reshape(dk, dm, dk, dm)
-    idx = 0
-    for bit in outcome:
-        idx = idx * dim_b + (dim_b - 1 if bit else 0)
-    cond = np.ascontiguousarray(t[:, idx, :, idx])
-    prob = float(np.real(np.trace(cond))) / weight if weight > 0 else 0.0
-    if prob <= 1e-14:
-        return tuple(outcome), prob, float("nan")
-    cond = cond / np.trace(cond)
-    if sum(outcome) % 2 == 1:
-        flip = linalg.kron_all([linalg.PAULI_X] * m)
-        corr = np.kron(flip, np.eye(dim_b))
-        cond = corr @ cond @ corr.conj().T
-    zero, one = _logical_vectors(m)
-    bell = (np.kron(zero, zero) + np.kron(one, one)) / np.sqrt(2)
-    fid = float(np.real(bell.conj() @ cond @ bell))
-    return tuple(outcome), prob, fid
+    t = rho.reshape((dim_b,) * (2 * cfg.N)).transpose(axes).reshape(dk, dm, dk, dm)
+    # by record parity: kept-pair indices of (|0_L 0_L>, |1_L 1_L>), and of the
+    # same pair after the logical bit flip on the first kept block
+    bell = ([0, dk - 1], [(dim_b - 1) * dim_b, dim_b - 1])
+    records = []
+    for outcome in outcomes:
+        idx = 0
+        for bit in outcome:
+            idx = idx * dim_b + (dim_b - 1 if bit else 0)
+        cond = t[:, idx, :, idx]
+        norm = float(np.real(np.trace(cond)))
+        prob = norm / weight if weight > 0 else 0.0
+        pair = bell[sum(outcome) % 2]
+        fid = float(np.real(np.sum(cond[np.ix_(pair, pair)]))) / (2 * norm) if prob > 1e-14 else float("nan")
+        records.append((outcome, prob, fid))
+    return records

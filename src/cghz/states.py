@@ -35,18 +35,18 @@ class BlockConfig:
 
 
 def ghz(m, sign=+1):
-    """(|0...0> + sign |1...1>)/sqrt2 on m qubits."""
+    """(|0...0> + sign |1...1>)/sqrt2 on m qubits, as a real (float64) vector."""
     if sign not in (+1, -1):
         raise InputError("sign must be +1 or -1")
     linalg.check_qubit_budget(m, what="ghz state")
-    v = np.zeros(2**m, dtype=complex)
+    v = np.zeros(2**m)
     v[0] = 1 / np.sqrt(2)
     v[-1] = sign / np.sqrt(2)
     return v
 
 
 def cghz(cfg):
-    """Concatenated GHZ state vector for a block configuration."""
+    """Concatenated GHZ state vector for a block configuration (real, float64)."""
     linalg.check_qubit_budget(cfg.qubits, what="cghz state")
     plus = ghz(cfg.m, +1)
     minus = ghz(cfg.m, -1)

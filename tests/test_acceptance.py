@@ -230,6 +230,24 @@ def test_criterion_7_negativity():
     )
 
 
+def test_twelve_qubit_dense_certification():
+    # the dense oracle's full range: spectrum and negativity at (4, 3), 12 qubits
+    started = time.perf_counter()
+    cfg, p = BlockConfig(4, 3), 0.7
+    spec = spectral.cghz_spectrum(cfg, p)
+    assert spec.multiplicity_total() == 2**12
+    spec_dev = float(np.max(np.abs(spec.expanded() - oracle.spectrum(cfg, p))))
+    neg_dev = abs(spectral.negativity(cfg, p) - oracle.negativity(cfg, p))
+    report(
+        "12-qubit certification (sector spectrum and negativity vs dense oracle)",
+        spec_dev <= 1e-10 and neg_dev <= 1e-9,
+        f"max eigenvalue deviation {spec_dev:.2e} (tol 1e-10), "
+        f"negativity deviation {neg_dev:.2e} (tol 1e-9)",
+        started,
+        limit=60,
+    )
+
+
 def test_criterion_8_fisher_information():
     started = time.perf_counter()
     pure_worst = 0.0

@@ -67,6 +67,35 @@ def test_order_independence():
     np.testing.assert_allclose(forward, backward, atol=1e-13)
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+@pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+def test_all_qubit_kernel_matches_chained_pauli_sum(q, p):
+    # depolarize_all uses the replace-with-I/2 form; depolarize is the literal Pauli sum
+    rng = np.random.default_rng(100 + q)
+    m = rng.standard_normal((2**q, 2**q)) + 1j * rng.standard_normal((2**q, 2**q))
+    expected = m
+    for k in range(q):
+        expected = depolarize(expected, k, p)
+    np.testing.assert_allclose(depolarize_all(m, p), expected, rtol=0, atol=1e-13)
+
+
+def test_all_qubit_kernel_keeps_the_dtype():
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((8, 8))
+    assert depolarize_all(real, 0.6).dtype == np.float64
+    assert depolarize_all(real + 0j, 0.6).dtype == np.complex128
+    assert depolarize_all(np.eye(8, dtype=int), 0.6).dtype == np.float64
+    np.testing.assert_allclose(depolarize_all(real, 0.6), depolarize_all(real + 0j, 0.6).real, atol=1e-15)
+
+
+def test_all_qubit_kernel_leaves_its_input_unchanged():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    before = m.copy()
+    depolarize_all(m, 0.4)
+    np.testing.assert_array_equal(m, before)
+
+
 def test_trace_and_hermiticity_preserved():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

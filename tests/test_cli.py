@@ -64,6 +64,14 @@ class TestEval:
         assert doc["records"][0]["value"] == pytest.approx(0.81)
         assert "version" in doc and "command" in doc
 
+    def test_json_command_is_the_argv_given_to_main(self, capsys, monkeypatch):
+        # an in-process caller's own sys.argv must not leak into the record
+        monkeypatch.setattr("sys.argv", ["host", "--unrelated"])
+        argv = ["eval", "coherence", "--N", "2", "--m", "1", "--p", "0.9", "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["command"] == " ".join(argv)
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "eval.csv"
         code, out, _ = run(
@@ -259,6 +267,16 @@ class TestSweep:
         fit_lines = [ln for ln in out.splitlines() if ln.startswith("#fit")]
         assert len(fit_lines) == 1
         assert fit_lines[0].endswith(",window=256:1024")
+
+    def test_fit_window_prints_exact_integer_bounds(self, capsys):
+        # N = 2^20 = 1048576 has more digits than a %g format keeps
+        code, out, _ = run(
+            capsys, "sweep", "coherence", "--n-pow2", "16:20", "--m", "3", "--p", "0.99", "--fit"
+        )
+        assert code == 0
+        fit_lines = [ln for ln in out.splitlines() if ln.startswith("#fit")]
+        assert len(fit_lines) == 1
+        assert fit_lines[0].endswith(",window=262144:1048576")
 
     def test_log2_block_sizes(self, tmp_path, capsys):
         path = tmp_path / "log2.csv"

@@ -131,6 +131,13 @@ class TestDistillProtocol:
         fids = [fid for _, _, fid in records]
         assert max(fids) - min(fids) < 1e-10
 
+    @pytest.mark.parametrize("p", [0.6, 0.9])
+    def test_single_record_matches_the_outcome_table(self, p):
+        cfg = BlockConfig(4, 2)
+        for outcome, prob, fid in oracle.distill_protocol_outcomes(cfg, p):
+            assert prob > 1e-14
+            assert oracle.distill_protocol_fidelity(cfg, p, outcomes=outcome) == fid
+
     def test_kept_pair_choice_is_irrelevant(self):
         cfg = BlockConfig(4, 2)
         base = oracle.distill_protocol_average(cfg, 0.8, kept_pair=(0, 1))

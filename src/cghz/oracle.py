@@ -68,7 +68,7 @@ def spectrum(cfg: BlockConfig, p):
 def negativity(cfg: BlockConfig, p):
     """Negativity across one block vs the rest, from the dense partial transpose."""
     evals = linalg.eigvals_hermitian(linalg.partial_transpose(decohered_cghz(cfg, p), range(cfg.m)))
-    return float(-np.sum(evals[evals < 0]))
+    return float(np.sum(-evals[evals < 0]))  # +0.0 for a PPT state
 
 
 def block_x_generator(cfg: BlockConfig):
@@ -84,14 +84,15 @@ def block_x_generator(cfg: BlockConfig):
 
 
 def single_z_generator(n_qubits):
-    """sum_j sigma_z^(j) over all physical qubits, as a dense matrix."""
+    """sum_j sigma_z^(j) over all physical qubits, as a dense matrix.
+
+    It is diagonal: on basis state i every qubit contributes +1 or -1, so
+    the entry is n_qubits - 2 popcount(i).
+    """
     linalg.check_qubit_budget(n_qubits, what="generator")
-    total = np.zeros((2**n_qubits, 2**n_qubits))
-    for j in range(n_qubits):
-        total += linalg.kron_all(
-            [np.eye(2**j), linalg.PAULI_Z.real, np.eye(2 ** (n_qubits - 1 - j))]
-        )
-    return total
+    index = np.arange(2**n_qubits)
+    ones = sum(((index >> j) & 1 for j in range(n_qubits)), np.zeros_like(index))
+    return np.diag(n_qubits - 2.0 * ones)
 
 
 def fisher_dense(rho, gen, pair_skip=FISHER_PAIR_SKIP):

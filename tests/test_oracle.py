@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,34 @@ class TestDistillProtocol:
     def test_requires_two_blocks(self):
         with pytest.raises(InputError):
             oracle.distill_protocol_outcomes(BlockConfig(1, 2), 0.9)
+
+
+def kronecker_single_z(n_qubits):
+    """Reference sum_j I (x) .. (x) Z_j (x) .. (x) I built from dense Kronecker products."""
+    total = np.zeros((2**n_qubits, 2**n_qubits))
+    for j in range(n_qubits):
+        total += linalg.kron_all([np.eye(2**j), linalg.PAULI_Z.real, np.eye(2 ** (n_qubits - 1 - j))])
+    return total
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_single_z_generator_is_the_kronecker_sum(n_qubits):
+    gen = oracle.single_z_generator(n_qubits)
+    assert gen.dtype == np.float64
+    assert np.array_equal(gen, kronecker_single_z(n_qubits))
+
+
+def test_single_z_fisher_unchanged_by_the_diagonal_generator():
+    cfg = BlockConfig(3, 2)
+    rho = oracle.decohered_cghz(cfg, 0.8)
+    assert oracle.fisher(cfg, 0.8, generator="single-z") == oracle.fisher_dense(rho, kronecker_single_z(6))
+
+
+def test_negativity_of_a_ppt_state_is_positive_zero():
+    # a nearly fully mixed state is PPT: no negative eigenvalue, and the
+    # empty sum must not come out as -0.0
+    value = oracle.negativity(BlockConfig(3, 2), 1e-300)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_generators_are_hermitian():

@@ -21,7 +21,7 @@ print(f"GHZ-encoded block coherence norm: {reference:.6f}\n")
 values = []
 for k in range(SAMPLES):
     a, b = random_orthogonal_pair(M, SEED + k)
-    values.append(generic_coherence_norm(a, b, 1, P))
+    values.append(generic_coherence_norm(a, b, P))
 values = np.array(values)
 
 print(f"{SAMPLES} Haar-random orthogonal pairs:")
@@ -35,5 +35,5 @@ zero = np.zeros(2**M, dtype=complex)
 zero[0] = 1.0
 one = np.zeros(2**M, dtype=complex)
 one[-1] = 1.0
-print(f"  |0..0>,|1..1|:  {generic_coherence_norm(zero, one, 1, P):.6f}  (p^m = {P**M:.6f})")
-print(f"  GHZ pair     :  {generic_coherence_norm(ghz(M, +1), ghz(M, -1), 1, P):.6f}")
+print(f"  |0..0>,|1..1|:  {generic_coherence_norm(zero, one, P):.6f}  (p^m = {P**M:.6f})")
+print(f"  GHZ pair     :  {generic_coherence_norm(ghz(M, +1), ghz(M, -1), P):.6f}")

@@ -3,7 +3,7 @@
 Library layout:
 
 - linalg:   dense complex linear algebra (trace norm, partial transpose, ...)
-- states:   GHZ / concatenated-GHZ / DFS constructors, random pairs
+- states:   GHZ / concatenated-GHZ constructors, random pairs
 - channels: single-qubit depolarizing channel, scalar transfer coefficients
 - analytic: closed-form coherence norms, distillation fidelity, tail fits
 - spectral: symmetry-exploiting exact spectra, negativity, Fisher information
@@ -12,9 +12,9 @@ Library layout:
 - cli:      eval / sweep / random-compare / synthesize front end
 """
 
-from .errors import ConsistencyError, InputError, ResourceLimitError, ZeroProbabilityError
-from .channels import NoiseParameter, TransferCoefficients, transfer_coefficients
-from .states import BlockConfig, cghz, dfs_ghz, ghz, random_orthogonal_pair
+from .errors import ConsistencyError, InputError, ResourceLimitError
+from .channels import TransferCoefficients, transfer_coefficients
+from .states import BlockConfig, cghz, ghz, random_orthogonal_pair
 from .analytic import (
     FitResult,
     ThresholdResult,
@@ -34,18 +34,15 @@ __all__ = [
     "ConsistencyError",
     "FitResult",
     "InputError",
-    "NoiseParameter",
     "ResourceLimitError",
     "ThresholdResult",
     "TransferCoefficients",
-    "ZeroProbabilityError",
     "cghz",
     "cghz_spectrum",
     "coherence_bound",
     "coherence_norm",
     "coherence_norm_block",
     "cramer_rao_bound",
-    "dfs_ghz",
     "distill_fidelity",
     "distill_threshold",
     "doublet_algebra",

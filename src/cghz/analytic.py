@@ -152,27 +152,6 @@ def distill_threshold(m, p, cap=DEFAULT_THRESHOLD_CAP):
     return ThresholdResult(value=lo, exceeded_cap=False, cap=cap)
 
 
-def distill_tail_approx(m, N, p):
-    """Small-noise approximation of the fidelity tail term r^N: 1 - 2 [e(1-p)/(1+p)]^m.
-
-    The approximation presumes block sizes growing logarithmically with N;
-    N enters only through that pairing.
-    """
-    p = survival(p)
-    return 1.0 - 2.0 * (math.e * (1 - p) / (1 + p)) ** m
-
-
-def distill_tail_exact(m, N, p):
-    """Exact r^N = (o/d)^N in log space, the quantity the approximation targets."""
-    _, _, log_r = _branch_weights(m, p)
-    return math.exp(N * log_r) if log_r > -math.inf else 0.0
-
-
-def distill_tail_approx_error(m, N, p):
-    """|approximation - exact tail|, the companion diagnostic."""
-    return abs(distill_tail_approx(m, N, p) - distill_tail_exact(m, N, p))
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares exponential fit value ~ amplitude * exp(-rate * N) over a window."""

@@ -9,12 +9,11 @@ single-qubit coherences |0><1| by p.  `depolarize` applies the Pauli sum
 literally (identity included); `depolarize_all` applies the equivalent
 replace-with-I/2 form p M + (1-p) Tr_k(M) (x) I/2 on every qubit k, in place
 on one copy, and tests assert the two agree.  p is the primary parameter
-everywhere; a rate/time pair (kappa, t) with p = exp(-kappa t) is converted
-at the boundary.
+everywhere; the command line converts a rate/time pair (kappa, t) to
+p = exp(-kappa t).
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,41 +22,12 @@ from . import linalg
 from .errors import InputError
 
 
-def check_probability(p):
+def survival(p):
+    """Return the survival probability p as a float, or raise InputError if it is not in [0, 1]."""
     p = float(p)
     if not 0.0 <= p <= 1.0 or math.isnan(p):
         raise InputError(f"survival probability must be in [0, 1], got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class NoiseParameter:
-    """Depolarizing survival probability, optionally derived from a rate and a time."""
-
-    p: float
-    kappa: float | None = None
-    t: float | None = None
-
-    def __post_init__(self):
-        check_probability(self.p)
-        if (self.kappa is None) != (self.t is None):
-            raise InputError("kappa and t must be given together")
-        if self.kappa is not None:
-            if self.kappa < 0 or self.t < 0:
-                raise InputError("kappa and t must be nonnegative")
-            if abs(self.p - math.exp(-self.kappa * self.t)) > 1e-12:
-                raise InputError("p is inconsistent with exp(-kappa*t)")
-
-    @classmethod
-    def from_rate(cls, kappa, t):
-        return cls(p=math.exp(-kappa * t), kappa=kappa, t=t)
-
-
-def survival(p):
-    """Accept a bare float or a NoiseParameter; return the validated float p."""
-    if isinstance(p, NoiseParameter):
-        return p.p
-    return check_probability(p)
 
 
 class TransferCoefficients(NamedTuple):

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__, analytic, circuits, oracle, spectral
-from .channels import NoiseParameter, survival
+from .channels import survival
 from .errors import ConsistencyError, InputError, ResourceLimitError
 from .states import BlockConfig, ghz, random_orthogonal_pair
 
@@ -33,9 +33,7 @@ REGISTRY = {
     ("bound", "analytic"): lambda cfg, p, gen, cap: analytic.coherence_bound(cfg, p),
     ("fidelity", "analytic"): lambda cfg, p, gen, cap: analytic.distill_fidelity(cfg, p),
     ("fidelity", "oracle"): lambda cfg, p, gen, cap: oracle.distill_protocol_average(cfg, p),
-    ("threshold", "analytic"): lambda cfg, p, gen, cap: analytic.distill_threshold(
-        cfg.m, p, cap=cap or analytic.DEFAULT_THRESHOLD_CAP
-    ),
+    ("threshold", "analytic"): lambda cfg, p, gen, cap: analytic.distill_threshold(cfg.m, p, cap=cap),
     ("negativity", "spectral"): lambda cfg, p, gen, cap: spectral.negativity(cfg, p),
     ("negativity", "oracle"): lambda cfg, p, gen, cap: oracle.negativity(cfg, p),
     ("fisher", "spectral"): lambda cfg, p, gen, cap: spectral.fisher_information(cfg, p, generator=gen),
@@ -69,7 +67,7 @@ def _engines_for(quantity, requested):
     return (requested,)
 
 
-def _evaluate_point(quantity, engines, cfg, p, generator, threshold_cap=None):
+def _evaluate_point(quantity, engines, cfg, p, generator, threshold_cap=analytic.DEFAULT_THRESHOLD_CAP):
     """Run each engine at one point: (values, errors, runtimes, max discrepancy).
 
     Values are floats, or the printed form of a ThresholdResult.  An engine
@@ -132,13 +130,17 @@ def _check_agreement(engine_all, discrepancy):
 
 
 def _noise_from_args(args):
-    if args.kappa is not None or args.t is not None:
-        if args.kappa is None or args.t is None:
-            raise _UsageError("--kappa and --t must be given together")
-        return NoiseParameter.from_rate(args.kappa, args.t).p
-    if args.p is None:
-        raise _UsageError("give --p or (--kappa and --t)")
-    return survival(args.p)
+    if args.kappa is None and args.t is None:
+        if args.p is None:
+            raise _UsageError("give --p or (--kappa and --t)")
+        return survival(args.p)
+    if args.p is not None:
+        raise _UsageError("give --p or (--kappa and --t), not both")
+    if args.kappa is None or args.t is None:
+        raise _UsageError("--kappa and --t must be given together")
+    if args.kappa < 0 or args.t < 0:
+        raise InputError("kappa and t must be nonnegative")
+    return survival(math.exp(-args.kappa * args.t))
 
 
 def _write_output(text, out_path):
@@ -168,6 +170,8 @@ def _json_envelope(args, records):
 def _cmd_eval(args):
     if args.N is None and args.quantity != "threshold":
         raise _UsageError("--N is required for this quantity")
+    if args.threshold_cap < 2:
+        raise _UsageError(f"--threshold-cap must be >= 2, got {args.threshold_cap}")
     p = _noise_from_args(args)
     cfg = BlockConfig(N=args.N if args.quantity != "threshold" else 2, m=args.m)
     engines = _engines_for(args.quantity, args.engine)
@@ -270,7 +274,9 @@ def _cmd_random_compare(args):
     p = _noise_from_args(args)
     if args.m > 4:
         raise _UsageError(f"random-compare is specified for m <= 4, got {args.m}")
-    reference = oracle.generic_coherence_norm(ghz(args.m, +1), ghz(args.m, -1), 1, p)
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be >= 0, got {args.samples}")
+    reference = oracle.generic_coherence_norm(ghz(args.m, +1), ghz(args.m, -1), p)
     rows = ["sample,value"]
     values = []
     for k in range(args.samples + 1):
@@ -278,7 +284,7 @@ def _cmd_random_compare(args):
             value = reference  # sample 0 is the GHZ block pair itself
         else:
             a, b = random_orthogonal_pair(args.m, args.seed + k)
-            value = oracle.generic_coherence_norm(a, b, 1, p)
+            value = oracle.generic_coherence_norm(a, b, p)
         values.append(value)
         rows.append(f"{k},{_fmt_value(value)}")
     random_values = values[1:]
@@ -313,12 +319,7 @@ def _cmd_random_compare(args):
 def _cmd_synthesize(args):
     cfg = BlockConfig(N=args.N, m=args.m)
     circuit = circuits.synthesize_preparation(cfg)
-    text = circuits.export_circuit(circuit)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(circuits.export_circuit(circuit), args.out)
     ms, zl, phase = circuits.gate_counts(circuit)
     report = {
         "N": args.N,
@@ -368,7 +369,7 @@ def build_parser():
     add_common(ev)
     ev.add_argument("--engine", default="auto", choices=("auto", "analytic", "spectral", "oracle", "all"))
     ev.add_argument("--generator", default="block-x", choices=("block-x", "single-z"))
-    ev.add_argument("--threshold-cap", type=int, default=None)
+    ev.add_argument("--threshold-cap", type=int, default=analytic.DEFAULT_THRESHOLD_CAP)
     ev.set_defaults(func=_cmd_eval)
 
     sw = sub.add_parser("sweep", help="parameter sweep to CSV")

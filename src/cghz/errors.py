@@ -16,6 +16,3 @@ class ResourceLimitError(RuntimeError):
 class ConsistencyError(RuntimeError):
     """Independent engines disagree beyond tolerance."""
 
-
-class ZeroProbabilityError(RuntimeError):
-    """A conditional result was requested for a measurement outcome of probability zero."""

@@ -32,9 +32,9 @@ def qubit_count(dim):
     return q
 
 
-def check_qubit_budget(q, cap=DENSE_QUBIT_CAP, what="dense operation"):
-    if q > cap:
-        raise ResourceLimitError(f"{what} needs {q} qubits, cap is {cap}")
+def check_qubit_budget(q, what="dense operation"):
+    if q > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"{what} needs {q} qubits, cap is {DENSE_QUBIT_CAP}")
 
 
 def kron_all(ops):
@@ -72,25 +72,25 @@ def partial_transpose(mat, qubits):
     return t.reshape(mat.shape)
 
 
-def _checked_hermitian(mat, tol):
+def _checked_hermitian(mat):
     mat = np.asarray(mat)
     dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > tol:
-        raise InputError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    if dev > HERMITICITY_TOL:
+        raise InputError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
     return mat
 
 
-def eig_hermitian(mat, tol=HERMITICITY_TOL):
+def eig_hermitian(mat):
     """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
-    Raises InputError if max |M - M^dagger| exceeds `tol`.
+    Raises InputError if max |M - M^dagger| exceeds HERMITICITY_TOL.
     """
-    return np.linalg.eigh(_checked_hermitian(mat, tol))
+    return np.linalg.eigh(_checked_hermitian(mat))
 
 
-def eigvals_hermitian(mat, tol=HERMITICITY_TOL):
+def eigvals_hermitian(mat):
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors; same check as eig_hermitian."""
-    return np.linalg.eigvalsh(_checked_hermitian(mat, tol))
+    return np.linalg.eigvalsh(_checked_hermitian(mat))
 
 
 def apply_one_qubit(mat, q_index, n_qubits, left, right):

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .errors import InputError, ResourceLimitError, ZeroProbabilityError
+from .errors import InputError, ResourceLimitError
 from .channels import depolarize_all
 from .states import BlockConfig, cghz, ghz
 
@@ -41,11 +41,10 @@ def coherence_norm(cfg: BlockConfig, p):
     return linalg.trace_norm(decohered_coherence(cfg, p))
 
 
-def generic_coherence_norm(a, b, N, p):
-    """||E^(x)m |a><b|||_1^N for an arbitrary orthonormal pair on one block.
+def generic_coherence_norm(a, b, p):
+    """||E^(x)m |a><b|||_1 for an arbitrary orthonormal pair on one block.
 
-    Uses tensor multiplicativity of the trace norm: one dense block, then
-    the N-th power.
+    By tensor multiplicativity of the trace norm, N blocks give its N-th power.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -54,10 +53,7 @@ def generic_coherence_norm(a, b, N, p):
     m = linalg.qubit_count(a.shape[0])
     if m > 6:
         raise ResourceLimitError(f"generic coherence norm capped at m <= 6, got m={m}")
-    block = linalg.trace_norm(depolarize_all(np.outer(a, b.conj()), p))
-    if block == 0.0:
-        return 0.0
-    return math.exp(N * math.log(block))
+    return linalg.trace_norm(depolarize_all(np.outer(a, b.conj()), p))
 
 
 def spectrum(cfg: BlockConfig, p):
@@ -95,10 +91,10 @@ def single_z_generator(n_qubits):
     return np.diag(n_qubits - 2.0 * ones)
 
 
-def fisher_dense(rho, gen, pair_skip=FISHER_PAIR_SKIP):
+def fisher_dense(rho, gen):
     """Fisher information 2 sum_jk (l_k - l_j)^2/(l_k + l_j) |<k|A|j>|^2.
 
-    Pairs with l_k + l_j below `pair_skip` are kernel pairs and contribute
+    Pairs with l_k + l_j below FISHER_PAIR_SKIP are kernel pairs and contribute
     nothing.  Requires a Hermitian PSD unit-trace rho and a Hermitian
     generator of the same dimension.
     """
@@ -115,7 +111,7 @@ def fisher_dense(rho, gen, pair_skip=FISHER_PAIR_SKIP):
     a_elems = evecs.conj().T @ gen @ evecs
     lam_sum = evals[:, None] + evals[None, :]
     lam_diff = evals[:, None] - evals[None, :]
-    weights = np.where(lam_sum > pair_skip, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
+    weights = np.where(lam_sum > FISHER_PAIR_SKIP, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
     return float(2.0 * np.sum(weights * np.abs(a_elems) ** 2))
 
 
@@ -139,49 +135,22 @@ def _project_logical(cfg, rho):
     return rho * np.outer(keep, keep)
 
 
-def distill_protocol_fidelity(cfg: BlockConfig, p, kept_pair=(0, 1), outcomes=()):
-    """Bell fidelity of the kept pair for one measurement record.
+def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
+    """(outcome, probability, corrected fidelity) for every measurement record, from one projected state.
 
     Projects every block onto the logical span, measures every block except
     the kept pair in the logical basis, applies the parity correction
     (a logical bit flip on the first kept block when the record has odd
-    parity), and returns the overlap with (|0_L 0_L> + |1_L 1_L>)/sqrt2.
+    parity), and takes the overlap with (|0_L 0_L> + |1_L 1_L>)/sqrt2.
     """
-    [(_, prob, fid)] = _protocol_records(cfg, p, kept_pair, [tuple(outcomes)])
-    if prob <= 1e-14:
-        raise ZeroProbabilityError(f"outcome {tuple(outcomes)} has probability {prob:.3e}")
-    return fid
-
-
-def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
-    """All measurement records with probabilities and corrected fidelities."""
     if cfg.N < 2:
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
-    return _protocol_records(cfg, p, kept_pair, product((0, 1), repeat=cfg.N - 2))
-
-
-def distill_protocol_average(cfg: BlockConfig, p, kept_pair=(0, 1)):
-    """Outcome-probability-weighted fidelity; equals the closed-form fidelity."""
-    records = distill_protocol_outcomes(cfg, p, kept_pair)
-    live = [(prob, fid) for _, prob, fid in records if prob > 1e-14]
-    total = math.fsum(prob for prob, _ in live)
-    return math.fsum(prob * fid for prob, fid in live) / total
-
-
-def _protocol_records(cfg, p, kept_pair, outcomes):
-    """(outcome, probability, corrected fidelity) for each record, from one projected state."""
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
-    if cfg.N < 2:
-        raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
     i, j = kept_pair
     if not (0 <= i < cfg.N and 0 <= j < cfg.N and i != j):
         raise InputError(f"kept pair {kept_pair} invalid for N={cfg.N}")
     kept = sorted((i, j))
     measured = [b for b in range(cfg.N) if b not in kept]
-    outcomes = [tuple(outcome) for outcome in outcomes]
-    for outcome in outcomes:
-        if len(outcome) != len(measured):
-            raise InputError(f"expected {len(measured)} outcome bits, got {len(outcome)}")
 
     rho = _project_logical(cfg, decohered_cghz(cfg, p))
     weight = float(np.real(np.trace(rho)))
@@ -198,7 +167,7 @@ def _protocol_records(cfg, p, kept_pair, outcomes):
     # same pair after the logical bit flip on the first kept block
     bell = ([0, dk - 1], [(dim_b - 1) * dim_b, dim_b - 1])
     records = []
-    for outcome in outcomes:
+    for outcome in product((0, 1), repeat=cfg.N - 2):
         idx = 0
         for bit in outcome:
             idx = idx * dim_b + (dim_b - 1 if bit else 0)
@@ -209,3 +178,11 @@ def _protocol_records(cfg, p, kept_pair, outcomes):
         fid = float(np.real(np.sum(cond[np.ix_(pair, pair)]))) / (2 * norm) if prob > 1e-14 else float("nan")
         records.append((outcome, prob, fid))
     return records
+
+
+def distill_protocol_average(cfg: BlockConfig, p, kept_pair=(0, 1)):
+    """Outcome-probability-weighted fidelity; equals the closed-form fidelity."""
+    records = distill_protocol_outcomes(cfg, p, kept_pair)
+    live = [(prob, fid) for _, prob, fid in records if prob > 1e-14]
+    total = math.fsum(prob for prob, _ in live)
+    return math.fsum(prob * fid for prob, fid in live) / total

@@ -1,4 +1,4 @@
-"""State constructors: GHZ, concatenated GHZ, DFS-encoded blocks, random pairs.
+"""State constructors: GHZ, concatenated GHZ, random pairs.
 
 A block configuration (N, m) means N logical blocks of m physical qubits.
 The concatenated state is the balanced superposition of the N-fold tensor
@@ -55,26 +55,6 @@ def cghz(cfg):
         vp = np.kron(vp, plus)
         vm = np.kron(vm, minus)
     return (vp + vm) / np.sqrt(2)
-
-
-def dfs_ghz(m, sign=+1):
-    """(|01>^(m/2) + sign |10>^(m/2))/sqrt2, invariant under collective dephasing.
-
-    Both branches have equal 0/1 counts, so exp(-i theta sum sigma_z) acts as
-    the identity on the state.
-    """
-    if sign not in (+1, -1):
-        raise InputError("sign must be +1 or -1")
-    if m % 2 != 0:
-        raise InputError(f"DFS encoding needs an even number of qubits, got m={m}")
-    linalg.check_qubit_budget(m, what="dfs state")
-    zero_one = np.zeros(4, dtype=complex)
-    zero_one[0b01] = 1
-    one_zero = np.zeros(4, dtype=complex)
-    one_zero[0b10] = 1
-    va = linalg.kron_all([zero_one] * (m // 2)).reshape(-1)
-    vb = linalg.kron_all([one_zero] * (m // 2)).reshape(-1)
-    return (va + sign * vb) / np.sqrt(2)
 
 
 def random_orthogonal_pair(m, seed):

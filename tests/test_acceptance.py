@@ -318,12 +318,12 @@ def test_criterion_10_random_pair_comparison():
     from cghz.states import ghz, random_orthogonal_pair
 
     m, p, seed, samples = 3, 0.9, 20260810, 1000
-    reference = oracle.generic_coherence_norm(ghz(m, +1), ghz(m, -1), 1, p)
+    reference = oracle.generic_coherence_norm(ghz(m, +1), ghz(m, -1), p)
     exceed = 0
     top = 0.0
     for k in range(1, samples + 1):
         a, b = random_orthogonal_pair(m, seed + k)
-        val = oracle.generic_coherence_norm(a, b, 1, p)
+        val = oracle.generic_coherence_norm(a, b, p)
         top = max(top, val)
         if val > reference + 1e-12:
             exceed += 1

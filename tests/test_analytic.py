@@ -9,9 +9,6 @@ from cghz.analytic import (
     coherence_norm,
     coherence_norm_block,
     distill_fidelity,
-    distill_tail_approx,
-    distill_tail_approx_error,
-    distill_tail_exact,
     distill_threshold,
     fit_exponential_tail,
 )
@@ -179,20 +176,6 @@ class TestDistillThreshold:
             distill_threshold(2, 1.0)
 
 
-class TestDistillTailApprox:
-    def test_noiseless_exact(self):
-        assert distill_tail_approx(4, 16, 1.0) == 1.0
-        assert distill_tail_exact(4, 16, 1.0) == 1.0
-
-    def test_log_block_pairing(self):
-        # m = log2 N pairing: approximation within 0.05 of the exact tail
-        assert distill_tail_approx_error(10, 2**10, 0.99) < 0.05
-
-    def test_error_decreases_towards_weak_noise(self):
-        errs = [distill_tail_approx_error(6, 2**6, p) for p in (0.9, 0.95, 0.99, 0.999)]
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
 class TestFitExponentialTail:
     def test_recovers_synthetic_decay(self):
         pts = [(n, 2.0 * math.exp(-0.3 * n)) for n in range(10, 21)]
@@ -233,11 +216,11 @@ class TestFitExponentialTail:
 
 
 def test_tail_ratio_drives_fidelity():
-    # the fidelity decomposes through the same tail term the approximation targets
+    # the fidelity decomposes through the tail term r^N, computed here as exp(N log r)
     m, p = 3, 0.9
     for n_blocks in (2, 5, 17):
-        tail = distill_tail_exact(m, n_blocks, p)
-        d, q, _ = analytic._branch_weights(m, p)
-        tail2 = distill_tail_exact(m, n_blocks - 2, p)
+        d, q, log_r = analytic._branch_weights(m, p)
+        tail = math.exp(n_blocks * log_r)
+        tail2 = math.exp((n_blocks - 2) * log_r)
         expected = 0.25 * (1 + q * q / (d * d) * (1 + tail2) + tail)
         assert distill_fidelity(BlockConfig(n_blocks, m), p) == pytest.approx(expected, rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cghz import linalg
-from cghz.channels import NoiseParameter, depolarize, depolarize_all, transfer_coefficients
+from cghz.channels import depolarize, depolarize_all, survival, transfer_coefficients
 from cghz.errors import InputError
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -137,20 +137,7 @@ def test_transfer_matches_dense_channel():
     assert coh[0, 1] == pytest.approx(tc.offdiag)
 
 
-class TestNoiseParameter:
-    def test_from_rate(self):
-        np_ = NoiseParameter.from_rate(kappa=0.5, t=0.2)
-        assert np_.p == pytest.approx(np.exp(-0.1))
-
-    def test_inconsistent_rate_rejected(self):
-        with pytest.raises(InputError):
-            NoiseParameter(p=0.5, kappa=1.0, t=1.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            NoiseParameter(p=1.5)
-
-    def test_accepted_by_channel(self):
-        param = NoiseParameter(p=0.9)
-        out = depolarize(np.outer(KET0, KET0.conj()), 0, param)
-        np.testing.assert_allclose(np.diag(out).real, [0.95, 0.05])
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_survival_rejects_out_of_range(p):
+    with pytest.raises(InputError):
+        survival(p)

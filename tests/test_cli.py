@@ -125,6 +125,35 @@ class TestExitCodes:
         assert err.startswith("usage error:")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("eval", "coherence", "--N", "2", "--m", "1", "--p", "0.5", "--kappa", "1", "--t", "1"),
+                "usage error: give --p or (--kappa and --t), not both",
+            ),
+            (
+                ("eval", "threshold", "--m", "3", "--p", "0.9", "--threshold-cap", "0"),
+                "usage error: --threshold-cap must be >= 2",
+            ),
+            (
+                ("random-compare", "--m", "3", "--p", "0.9", "--samples", "-3"),
+                "usage error: --samples must be >= 0",
+            ),
+            # exp(-kappa t) = exp(-1) is a valid p; the signs alone are rejected
+            (
+                ("eval", "coherence", "--N", "2", "--m", "1", "--kappa", "-1", "--t", "-1"),
+                "input error: kappa and t must be nonnegative",
+            ),
+        ],
+        ids=["p-with-rate", "threshold-cap", "samples", "negative-rate"],
+    )
+    def test_malformed_option_value(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize(
         "command",
         [
             ("eval", "negativity", "--N", "3", "--m", "1", "--p", "0.9"),

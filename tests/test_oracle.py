@@ -50,7 +50,7 @@ class TestDecoheredCoherence:
 class TestGenericCoherenceNorm:
     def test_ghz_pair_reproduces_block_norm(self):
         for m, p in [(1, 0.9), (2, 0.9), (3, 0.7)]:
-            val = oracle.generic_coherence_norm(ghz(m, +1), ghz(m, -1), 1, p)
+            val = oracle.generic_coherence_norm(ghz(m, +1), ghz(m, -1), p)
             assert val == pytest.approx(analytic.coherence_norm_block(m, p), abs=1e-12)
 
     def test_computational_pair_decays_like_p_to_m(self):
@@ -59,15 +59,15 @@ class TestGenericCoherenceNorm:
         zero[0] = 1.0
         one = np.zeros(2**m, dtype=complex)
         one[-1] = 1.0
-        assert oracle.generic_coherence_norm(zero, one, 1, p) == pytest.approx(p**m, abs=1e-12)
+        assert oracle.generic_coherence_norm(zero, one, p) == pytest.approx(p**m, abs=1e-12)
 
     def test_noiseless_any_pair(self):
         a, b = random_orthogonal_pair(3, 17)
-        assert oracle.generic_coherence_norm(a, b, 4, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert oracle.generic_coherence_norm(a, b, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            oracle.generic_coherence_norm(np.ones(4) / 2, np.ones(8) / np.sqrt(8), 1, 0.9)
+            oracle.generic_coherence_norm(np.ones(4) / 2, np.ones(8) / np.sqrt(8), 0.9)
 
     def test_block_cap(self):
         a = np.zeros(2**7, dtype=complex)
@@ -75,7 +75,7 @@ class TestGenericCoherenceNorm:
         b = np.zeros(2**7, dtype=complex)
         b[1] = 1.0
         with pytest.raises(ResourceLimitError):
-            oracle.generic_coherence_norm(a, b, 1, 0.9)
+            oracle.generic_coherence_norm(a, b, 0.9)
 
 
 class TestFisherDense:
@@ -114,7 +114,7 @@ class TestDistillProtocol:
             assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_two_blocks_single_qubit(self):
-        fid = oracle.distill_protocol_fidelity(BlockConfig(2, 1), 0.9)
+        [(_, _, fid)] = oracle.distill_protocol_outcomes(BlockConfig(2, 1), 0.9)
         assert fid == pytest.approx(0.8575, abs=1e-12)
 
     @pytest.mark.parametrize("cfg", [BlockConfig(3, 2), BlockConfig(4, 1), BlockConfig(3, 3)])
@@ -133,13 +133,6 @@ class TestDistillProtocol:
         fids = [fid for _, _, fid in records]
         assert max(fids) - min(fids) < 1e-10
 
-    @pytest.mark.parametrize("p", [0.6, 0.9])
-    def test_single_record_matches_the_outcome_table(self, p):
-        cfg = BlockConfig(4, 2)
-        for outcome, prob, fid in oracle.distill_protocol_outcomes(cfg, p):
-            assert prob > 1e-14
-            assert oracle.distill_protocol_fidelity(cfg, p, outcomes=outcome) == fid
-
     def test_kept_pair_choice_is_irrelevant(self):
         cfg = BlockConfig(4, 2)
         base = oracle.distill_protocol_average(cfg, 0.8, kept_pair=(0, 1))
@@ -147,10 +140,6 @@ class TestDistillProtocol:
             assert oracle.distill_protocol_average(cfg, 0.8, kept_pair=pair) == pytest.approx(
                 base, abs=1e-10
             )
-
-    def test_outcome_record_length_checked(self):
-        with pytest.raises(InputError):
-            oracle.distill_protocol_fidelity(BlockConfig(3, 2), 0.9, outcomes=(0, 1))
 
     def test_requires_two_blocks(self):
         with pytest.raises(InputError):

@@ -4,7 +4,7 @@ import pytest
 from cghz import linalg
 from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
-from cghz.states import BlockConfig, cghz, dfs_ghz, ghz, random_orthogonal_pair
+from cghz.states import BlockConfig, cghz, ghz, random_orthogonal_pair
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -86,36 +86,6 @@ class TestCghz:
     def test_config_validation(self):
         with pytest.raises(InputError):
             BlockConfig(0, 2)
-
-
-class TestDfsGhz:
-    def test_two_qubit(self):
-        v = dfs_ghz(2, +1)
-        np.testing.assert_allclose(v, [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0])
-
-    def test_odd_size_rejected(self):
-        with pytest.raises(InputError):
-            dfs_ghz(3)
-
-    @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_zero_total_magnetization(self, m):
-        # each branch has equal 0/1 counts, so sum sigma_z annihilates the state
-        from cghz.oracle import single_z_generator
-
-        v = dfs_ghz(m, -1)
-        np.testing.assert_allclose(single_z_generator(m) @ v, np.zeros(2**m), atol=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.7])
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_collective_dephasing_invariance(self, theta, sign):
-        m = 4
-        v = dfs_ghz(m, sign)
-        idx = np.arange(2**m)
-        magnet = np.zeros(2**m)
-        for q in range(m):
-            magnet += 1 - 2 * ((idx >> (m - 1 - q)) & 1)
-        evolved = np.exp(-1j * theta * magnet) * v
-        assert abs(np.vdot(v, evolved)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLogicalHadamard:

@@ -26,13 +26,16 @@ The block coupler schedules T = 2^ceil(log2 N) global MS pulses of angle
 pi/(4T) whose accumulated pair phases follow Walsh sign codes, with a
 Z layer between consecutive pulses toggling the blocks whose code bit
 flips.  Walsh rows are orthogonal, so inter-block phases cancel exactly
-while every intra-block pair accumulates pi/4.  The full preparation is
-MS(pi/4), a local layer rotating the resulting product-pair branches onto
-the z basis with a phase tuned so the two GHZ branches interleave
-correctly, the coupler, and a final local layer that undoes the open
-Z layers and rotates each block's branch pair onto the logical basis.
-The construction is exact; simulation reproduces the concatenated GHZ
-state to machine precision.
+while every intra-block pair accumulates pi/4.  The toggle masks (t-1)^t
+take log2 T distinct values and telescope: block b's sign at pulse t is
+(-1)^popcount(b & t).  The full preparation is MS(pi/4), a local layer
+rotating the resulting product-pair branches onto the z basis with a
+phase tuned so the two GHZ branches interleave correctly, the coupler,
+and a final local layer that undoes the open Z layers and rotates each
+block's branch pair onto the logical basis.  The construction is exact;
+simulation reproduces the concatenated GHZ state to machine precision.
+phase_matrix certifies the pair phases exactly by integer sums over
+qubit classes (a coupler block is one), O(G n + U^2 G) for G gates.
 """
 
 import math
@@ -119,38 +122,46 @@ def phase_matrix(circuit: Circuit):
     """Effective pairwise XX phases of an MS/ZLayer circuit, exact mod 2 pi.
 
     Each Z layer toggles a per-qubit sign flag; an MS(xi) then contributes
-    xi times the product of the two flags to every pair.  Local gates have
-    no phase-algebra meaning and are rejected.
+    xi times the product of the two flags to every pair.  Qubits whose flag
+    histories (bit g: negative at MS gate g) agree form one class.  A class
+    pair sums the angles' integer numerators over their common denominator,
+    signed by the XOR of the histories: O(G n + U^2 G) for G gates and U <= n
+    classes.  Local gates have no phase-algebra meaning and are rejected.
     """
-    flags = [1] * circuit.n
-    xi = [[Fraction(0)] * circuit.n for _ in range(circuit.n)]
+    n = circuit.n
+    history, angles = [0] * n, []
     for g in circuit.gates:
         if isinstance(g, LocalGate):
             raise InputError("phase algebra is undefined for circuits with local gates")
         if isinstance(g, ZLayer):
             for q in g.qubits:
-                flags[q] = -flags[q]
+                history[q] ^= -1 << len(angles)  # negative from the next MS gate on
         else:
-            for k in range(circuit.n):
-                for l in range(k + 1, circuit.n):
-                    xi[k][l] += g.xi * flags[k] * flags[l]
-    for k in range(circuit.n):
-        for l in range(k + 1, circuit.n):
-            xi[k][l] %= 2
-            xi[l][k] = xi[k][l]
-    return PhaseMatrix(n=circuit.n, xi=tuple(tuple(row) for row in xi))
+            angles.append(g.xi)
+    den = math.lcm(*(a.denominator for a in angles))
+    nums = [a.numerator * (den // a.denominator) for a in angles]
+    classes = {}
+    cls = [classes.setdefault(h & ((1 << len(nums)) - 1), len(classes)) for h in history]
+    table = [[Fraction(sum(-v if (a ^ b) >> g & 1 else v for g, v in enumerate(nums)) % (2 * den), den)
+              for b in classes] for a in classes]
+    zero = Fraction(0)
+    xi = tuple(tuple(zero if k == l else table[cls[k]][cls[l]] for l in range(n)) for k in range(n))
+    return PhaseMatrix(n=n, xi=xi)
 
 
 def _walsh_layers(N):
-    """(pulse count T, list of block sets toggled between consecutive pulses)."""
-    T = 1
-    while T < N:
-        T *= 2
-    layers = []
+    """(pulse count T, block tuples toggled between consecutive pulses).
+
+    The mask (t-1)^t depends only on the trailing zeros of t, so the T-1
+    layers repeat log2 T distinct tuples, each built once.
+    """
+    T = 1 << (N - 1).bit_length()
+    sets = {}
     for t in range(1, T):
         mask = (t - 1) ^ t
-        layers.append([b for b in range(N) if bin(b & mask).count("1") % 2 == 1])
-    return T, layers
+        if mask not in sets:
+            sets[mask] = tuple(b for b in range(N) if (b & mask).bit_count() & 1)
+    return T, [sets[(t - 1) ^ t] for t in range(1, T)]
 
 
 def _pair_rotation(k4):
@@ -180,11 +191,11 @@ def synthesize_block_phase(cfg: BlockConfig):
     """
     N, m = cfg.N, cfg.m
     T, layers = _walsh_layers(N)
-    xi = Fraction(1, 4 * T)
-    gates = [MSGate(xi)]
+    pulse = MSGate(Fraction(1, 4 * T))
+    zlayer = {blocks: ZLayer(tuple(b * m + j for b in blocks for j in range(m))) for blocks in set(layers)}
+    gates = [pulse]
     for blocks in layers:
-        gates.append(ZLayer(tuple(b * m + j for b in blocks for j in range(m))))
-        gates.append(MSGate(xi))
+        gates += [zlayer[blocks], pulse]
     return Circuit(n=cfg.qubits, gates=tuple(gates))
 
 
@@ -211,15 +222,12 @@ def correction_layers(cfg: BlockConfig):
             mid.append(LocalGate(name, q))
         if delta:
             mid.append(LocalGate(f"P{delta}", q))
-    # final layer: undo open Z layers, rotate block pairs, close logical phase
-    T, layers = _walsh_layers(N)
-    residual = [0] * N
-    for blocks in layers:
-        for b in blocks:
-            residual[b] += 1
+    # final layer: undo open Z layers (the toggle masks telescope, so block b < T
+    # is left with parity popcount(b & (T-1)) = popcount(b)), rotate block pairs,
+    # close logical phase
     fin = []
     for b in range(N):
-        if residual[b] % 2:
+        if b.bit_count() & 1:
             for j in range(m):
                 fin.append(LocalGate("Z", b * m + j))
     rot_c, b_plus, b_minus = _pair_rotation(m)
@@ -317,7 +325,7 @@ def parse_circuit(text):
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
-    gates = []
+    gates, names = [], set()
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
@@ -326,11 +334,13 @@ def parse_circuit(text):
                 raise InputError(f"bad MS line {ln!r}")
             gates.append(MSGate(Fraction(parts[1])))
         elif kind == "Z":
-            gates.append(ZLayer(tuple(int(q) for q in parts[1:])))
+            gates.append(ZLayer(tuple(map(int, parts[1:]))))
         elif kind == "L":
             if len(parts) != 3:
                 raise InputError(f"bad L line {ln!r}")
-            local_unitary(parts[1])  # validate the name
+            if parts[1] not in names:
+                local_unitary(parts[1])  # validate each distinct name once
+                names.add(parts[1])
             gates.append(LocalGate(parts[1], int(parts[2])))
         else:
             raise InputError(f"unknown gate line {ln!r}")

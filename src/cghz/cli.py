@@ -16,7 +16,7 @@ import math
 import sys
 import time
 
-from . import __version__, analytic, circuits, oracle, spectral
+from . import __version__, analytic, circuits, linalg, oracle, spectral
 from .channels import survival
 from .errors import ConsistencyError, InputError, ResourceLimitError
 from .states import BlockConfig, ghz, random_orthogonal_pair
@@ -329,9 +329,9 @@ def _cmd_synthesize(args):
         "total_ms_phase": f"{phase}*pi",
     }
     if args.verify:
-        if cfg.qubits > 10:
+        if cfg.qubits > linalg.DENSE_QUBIT_CAP:
             sys.stderr.write(
-                f"warning: verification skipped, {cfg.qubits} qubits exceed the cap of 10\n"
+                f"warning: verification skipped, {cfg.qubits} qubits exceed the cap of {linalg.DENSE_QUBIT_CAP}\n"
             )
         else:
             report["fidelity"] = circuits.preparation_fidelity(cfg, circuit)
@@ -362,7 +362,6 @@ def build_parser():
         sp.add_argument("--t", type=float, default=None)
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     ev = sub.add_parser("eval", help="single-point evaluation")
     ev.add_argument("quantity", choices=QUANTITIES)
@@ -384,12 +383,12 @@ def build_parser():
     sw.add_argument("--fit", action="store_true", help="append exponential tail fits per series")
     sw.add_argument("--json", action="store_true")
     sw.add_argument("--out", default=None)
-    sw.add_argument("--seed", type=int, default=0)
     sw.set_defaults(func=_cmd_sweep)
 
     rc = sub.add_parser("random-compare", help="Haar pairs vs the concatenated-GHZ block")
     rc.add_argument("--samples", type=int, required=True)
     add_common(rc, with_n=False)
+    rc.add_argument("--seed", type=int, default=0)
     rc.set_defaults(func=_cmd_random_compare)
 
     sy = sub.add_parser("synthesize", help="emit the preparation circuit")
@@ -398,7 +397,6 @@ def build_parser():
     sy.add_argument("--out", default=None)
     sy.add_argument("--verify", action="store_true")
     sy.add_argument("--json", action="store_true")
-    sy.add_argument("--seed", type=int, default=0)
     sy.set_defaults(func=_cmd_synthesize)
     return parser
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cghz import circuits
 from cghz.circuits import (
@@ -23,6 +25,37 @@ from cghz.errors import InputError, ResourceLimitError
 from cghz.states import BlockConfig, cghz
 
 QUARTER = Fraction(1, 4)
+
+
+def reference_phase_matrix(circuit):
+    """Per-pair Fraction accumulation of the XX phases, the direct definition."""
+    flags = [1] * circuit.n
+    xi = [[Fraction(0)] * circuit.n for _ in range(circuit.n)]
+    for g in circuit.gates:
+        if isinstance(g, LocalGate):
+            raise InputError("phase algebra is undefined for circuits with local gates")
+        if isinstance(g, ZLayer):
+            for q in g.qubits:
+                flags[q] = -flags[q]
+        else:
+            for k in range(circuit.n):
+                for l in range(k + 1, circuit.n):
+                    xi[k][l] += g.xi * flags[k] * flags[l]
+    for k in range(circuit.n):
+        for l in range(k + 1, circuit.n):
+            xi[k][l] %= 2
+            xi[l][k] = xi[k][l]
+    return circuits.PhaseMatrix(n=circuit.n, xi=tuple(tuple(row) for row in xi))
+
+
+@st.composite
+def ms_z_circuits(draw):
+    """MS/ZLayer circuits on 1..8 qubits: angles over unrelated denominators
+    1..64 up to |xi| = 3, Z layers that may be empty or repeat qubits."""
+    n = draw(st.integers(1, 8))
+    ms = st.integers(1, 64).flatmap(lambda d: st.integers(-3 * d, 3 * d).map(lambda k: MSGate(Fraction(k, d))))
+    z = st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda qs: ZLayer(tuple(qs)))
+    return Circuit(n, tuple(draw(st.lists(st.one_of(ms, z), max_size=12))))
 
 
 class TestPhaseMatrix:
@@ -54,6 +87,16 @@ class TestPhaseMatrix:
         with pytest.raises(InputError):
             phase_matrix(Circuit(2, (LocalGate("H", 0),)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(ms_z_circuits())
+    @example(Circuit(1, ()))
+    @example(Circuit(3, (ZLayer(()), ZLayer((1, 1, 2)), ZLayer((0,)))))
+    @example(Circuit(2, (MSGate(Fraction(-7, 3)), ZLayer((1, 1)), MSGate(Fraction(5, 64)))))
+    def test_matches_per_pair_reference(self, circuit):
+        xi = phase_matrix(circuit)
+        assert xi == reference_phase_matrix(circuit)
+        assert all(type(v) is Fraction and 0 <= v < 2 for row in xi.xi for v in row)
+
     def test_symmetry_and_zero_diagonal(self):
         xi = phase_matrix(synthesize_block_phase(BlockConfig(3, 2)))
         for k in range(6):
@@ -84,10 +127,28 @@ class TestSynthesizeBlockPhase:
             MSGate(Fraction(1, 8)),
         )
 
-    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "m, n_blocks",
+        [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 8)]
+        # the 48-64-qubit couplers of the benchmark's design workload
+        + [(4, 16), (2, 32), (3, 20), (4, 12)],
+    )
     def test_exact_phase_pattern(self, n_blocks, m):
         assert_block_phase_pattern(BlockConfig(n_blocks, m))
+
+    def test_open_z_parity_is_closed_form(self):
+        # block b toggles once per layer whose mask (t-1)^t has odd overlap
+        # with b; the masks telescope, so the count's parity is popcount(b)
+        for n_blocks in range(1, 301):
+            T, layers = circuits._walsh_layers(n_blocks)
+            toggles = [0] * n_blocks
+            for blocks in layers:
+                for b in blocks:
+                    toggles[b] += 1
+            odd = [b for b in range(n_blocks) if toggles[b] % 2]
+            assert odd == [b for b in range(n_blocks) if (b & (T - 1)).bit_count() & 1]
+            _, fin = circuits.correction_layers(BlockConfig(n_blocks, 1))
+            assert [g.qubit for g in fin if g.name == "Z"] == odd
 
     def test_four_blocks_counts(self):
         c = synthesize_block_phase(BlockConfig(4, 2))
@@ -247,14 +308,14 @@ class TestPreparation:
 
 class TestTextFormat:
     def test_round_trip_preparation(self):
-        for cfg in (BlockConfig(2, 2), BlockConfig(3, 1), BlockConfig(4, 2)):
+        for cfg in (BlockConfig(2, 2), BlockConfig(3, 1), BlockConfig(4, 2), BlockConfig(256, 4)):
             c = synthesize_preparation(cfg)
             assert parse_circuit(export_circuit(c)) == c
 
     def test_round_trip_is_textually_stable(self):
-        c = synthesize_preparation(BlockConfig(2, 3))
-        text = export_circuit(c)
-        assert export_circuit(parse_circuit(text)) == text
+        for cfg in (BlockConfig(2, 3), BlockConfig(256, 4)):
+            text = export_circuit(synthesize_preparation(cfg))
+            assert export_circuit(parse_circuit(text)) == text
 
     def test_format_lines(self):
         c = Circuit(3, (MSGate(Fraction(1, 8)), ZLayer((0, 2)), LocalGate("SDG", 1)))
@@ -274,5 +335,10 @@ class TestTextFormat:
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_circuit_validates_indices(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"addresses qubits \[5\] outside 0\.\.1"):
             Circuit(2, (ZLayer((0, 5)),))
+        with pytest.raises(InputError, match=r"\[-1\]"):
+            Circuit(2, (ZLayer((-1,)),))
+        with pytest.raises(InputError, match=r"\[2\]"):
+            Circuit(2, (LocalGate("X", 2),))
+        Circuit(2, (ZLayer(()), ZLayer((1, 0, 1)), LocalGate("X", 1)))

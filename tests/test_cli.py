@@ -144,8 +144,22 @@ class TestExitCodes:
                 ("eval", "coherence", "--N", "2", "--m", "1", "--kappa", "-1", "--t", "-1"),
                 "input error: kappa and t must be nonnegative",
             ),
+            # only random-compare draws random numbers, so only it takes --seed
+            (
+                ("eval", "coherence", "--N", "3", "--m", "2", "--p", "0.9", "--seed", "3"),
+                "usage error: unrecognized arguments: --seed 3",
+            ),
+            (
+                ("sweep", "coherence", "--n-list", "2,3", "--m", "1", "--p", "0.9", "--seed", "3"),
+                "usage error: unrecognized arguments: --seed 3",
+            ),
+            (
+                ("synthesize", "--N", "2", "--m", "2", "--seed", "3"),
+                "usage error: unrecognized arguments: --seed 3",
+            ),
         ],
-        ids=["p-with-rate", "threshold-cap", "samples", "negative-rate"],
+        ids=["p-with-rate", "threshold-cap", "samples", "negative-rate", "eval-seed", "sweep-seed",
+             "synthesize-seed"],
     )
     def test_malformed_option_value(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -177,7 +191,9 @@ class TestJsonRecords:
             "--engine", "all", "--json",
         )
         assert code == 0
-        records = json.loads(out)["records"]
+        doc = json.loads(out)
+        assert doc["seed"] is None
+        records = doc["records"]
         assert [r["engine"] for r in records] == ["spectral", "oracle"]
         for r in records:
             assert list(r) == ["quantity", "N", "m", "p", "engine", "value", "runtime", "max_discrepancy"]
@@ -341,6 +357,7 @@ class TestRandomCompare:
         assert code == 0
         doc = json.loads(out)
         summary = doc["records"][0]
+        assert doc["seed"] == summary["seed"] == 0
         assert summary["exceed_count"] == 0
         assert summary["max_random"] == pytest.approx(1.0, abs=1e-9)
 
@@ -375,6 +392,15 @@ class TestSynthesize:
         code, out, err = run(capsys, "synthesize", "--N", "8", "--m", "4", "--verify")
         assert code == 0
         assert "verification skipped" in err
+
+    def test_verification_reaches_the_dense_cap(self, capsys):
+        code, out, err = run(capsys, "synthesize", "--N", "12", "--m", "1", "--verify")
+        assert (code, err) == (0, "")
+        assert "fidelity=1.000000000000" in out.splitlines()[-1]
+        code, out, err = run(capsys, "synthesize", "--N", "13", "--m", "1", "--verify")
+        assert code == 0
+        assert err == "warning: verification skipped, 13 qubits exceed the cap of 12\n"
+        assert "fidelity=" not in out
 
     def test_single_block_base_case(self, capsys):
         code, out, _ = run(capsys, "synthesize", "--N", "1", "--m", "3")

@@ -326,22 +326,27 @@ def parse_circuit(text):
     except (IndexError, ValueError) as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
     gates, names = [], set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "MS":
-            if len(parts) != 2:
-                raise InputError(f"bad MS line {ln!r}")
-            gates.append(MSGate(Fraction(parts[1])))
-        elif kind == "Z":
-            gates.append(ZLayer(tuple(map(int, parts[1:]))))
-        elif kind == "L":
-            if len(parts) != 3:
-                raise InputError(f"bad L line {ln!r}")
-            if parts[1] not in names:
-                local_unitary(parts[1])  # validate each distinct name once
-                names.add(parts[1])
-            gates.append(LocalGate(parts[1], int(parts[2])))
-        else:
-            raise InputError(f"unknown gate line {ln!r}")
+    try:
+        for ln in lines[1:]:
+            parts = ln.split()
+            kind = parts[0]
+            if kind == "MS":
+                if len(parts) != 2:
+                    raise InputError(f"bad MS line {ln!r}")
+                gates.append(MSGate(Fraction(parts[1])))
+            elif kind == "Z":
+                gates.append(ZLayer(tuple(map(int, parts[1:]))))
+            elif kind == "L":
+                if len(parts) != 3:
+                    raise InputError(f"bad L line {ln!r}")
+                if parts[1] not in names:
+                    local_unitary(parts[1])  # validate each distinct name once
+                    names.add(parts[1])
+                gates.append(LocalGate(parts[1], int(parts[2])))
+            else:
+                raise InputError(f"unknown gate line {ln!r}")
+    except InputError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:  # int() or Fraction() of a malformed number
+        raise InputError(f"bad number in line {ln!r}") from exc
     return Circuit(n=n, gates=tuple(gates))

@@ -5,7 +5,9 @@ ndarrays of shape (2**q,); the dtype follows the input, so real operators get
 real LAPACK routines.  Qubit 0 is the most significant bit of the
 computational-basis index; this convention fixes all tensor orderings in the
 package.  Hermiticity is never assumed (coherence operators are not
-Hermitian); each function states its own requirements.
+Hermitian); each function states its own requirements.  The decompositions
+split a matrix along the exact block structure of its own nonzero pattern
+(`direct_sum_blocks`) and hand each block size to LAPACK as one batched call.
 """
 
 import numpy as np
@@ -38,21 +40,23 @@ def check_qubit_budget(q, what="dense operation"):
 
 
 def kron_all(ops):
+    """Kronecker product of 2-D operators, left to right."""
     out = np.ones((1, 1))
     for op in ops:
-        out = np.kron(out, op)
+        op = np.asarray(op)
+        rows, cols = out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
+        out = np.multiply.outer(out, op).swapaxes(1, 2).reshape(rows, cols)
     return out
 
 
 def trace_norm(mat):
-    """Sum of singular values of a (not necessarily Hermitian) matrix.
+    """Sum of singular values of a (not necessarily Hermitian) square matrix.
 
-    Uses a full SVD: forming M^dagger M squares the condition number and
-    costs ~1e-8 absolute error per near-zero singular value, far above what
-    the cross-engine certification tolerances allow.
+    Uses a full SVD of every direct-sum block: forming M^dagger M squares the
+    condition number and costs ~1e-8 absolute error per near-zero singular
+    value, far above what the cross-engine certification tolerances allow.
     """
-    mat = np.asarray(mat)
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+    return float(sum(np.sum(np.linalg.svd(stack, compute_uv=False)) for stack, in direct_sum_blocks(mat)))
 
 
 def partial_transpose(mat, qubits):
@@ -72,16 +76,64 @@ def partial_transpose(mat, qubits):
     return t.reshape(mat.shape)
 
 
+def direct_sum_blocks(*mats):
+    """Split square matrices of one shape into their common exact direct-sum blocks.
+
+    Indices i and j share a block when a path of entries that are nonzero in
+    any of the matrices, or in its transpose, joins them.  Exact zeros decide,
+    with no tolerance, so every entry outside the blocks is exactly zero in
+    every matrix.  Returns, for each block size s, a tuple with one (k, s, s)
+    stack of blocks per matrix; the rows and columns of a block keep their
+    ascending order.
+    """
+    mats = [np.asarray(mat) for mat in mats]
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(mat.shape != shape for mat in mats):
+        raise InputError(f"need square matrices of one shape, got {[mat.shape for mat in mats]}")
+    n = shape[0]
+    linked = mats[0] != 0
+    for mat in mats[1:]:
+        linked |= mat != 0
+    linked.flat[:: n + 1] = True
+    # every index points at its first neighbour, which is never above it, so
+    # the pointers form a forest; pointer jumping takes each index to its root.
+    # An entry that joins two roots, read in either orientation, hooks the
+    # higher root to the lower one, until every entry joins indices with one
+    # root; the roots then label the components of the symmetrised pattern
+    label = linked.argmax(axis=1)
+    while True:
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
+        cut = linked & (label[:, None] != label)
+        if not cut.any():
+            break
+        rows, cols = np.nonzero(cut)
+        root_i, root_j = label[rows], label[cols]
+        np.minimum.at(label, root_i, root_j)
+        np.minimum.at(label, root_j, root_i)
+    size = np.bincount(label)[label]
+    # by block size, then by block, with ascending indices inside a block
+    order = np.lexsort((label, size))
+    stacks, start = [], 0
+    for s, count in enumerate(np.bincount(size).tolist()):
+        if count:
+            idx = order[start : start + count].reshape(-1, s)
+            start += count
+            stacks.append(tuple(mat[idx[:, :, None], idx[:, None, :]] for mat in mats))
+    return stacks
+
+
 def _checked_hermitian(mat):
     mat = np.asarray(mat)
-    dev = np.max(np.abs(mat - mat.conj().T))
+    dev = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
     if dev > HERMITICITY_TOL:
         raise InputError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
     return mat
 
 
 def eig_hermitian(mat):
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
+    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix or (k, s, s) stack.
 
     Raises InputError if max |M - M^dagger| exceeds HERMITICITY_TOL.
     """
@@ -89,8 +141,13 @@ def eig_hermitian(mat):
 
 
 def eigvals_hermitian(mat):
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors; same check as eig_hermitian."""
-    return np.linalg.eigvalsh(_checked_hermitian(mat))
+    """Ascending eigenvalues of a Hermitian matrix, block by block and without eigenvectors.
+
+    The check of eig_hermitian runs on the gathered blocks; outside them both
+    M and M^dagger are exactly zero, so this is the full-matrix check.
+    """
+    parts = [np.linalg.eigvalsh(_checked_hermitian(stack)).ravel() for stack, in direct_sum_blocks(mat)]
+    return np.sort(np.concatenate(parts))
 
 
 def apply_one_qubit(mat, q_index, n_qubits, left, right):

@@ -68,15 +68,17 @@ def negativity(cfg: BlockConfig, p):
 
 
 def block_x_generator(cfg: BlockConfig):
-    """sum_k sigma_x^(x)m acting on block k, as a dense matrix."""
+    """sum_k sigma_x^(x)m acting on block k, as a dense matrix.
+
+    sigma_x^(x)m on block k is the permutation i -> i XOR mask_k, where mask_k
+    holds the m bits of block k; the N permutations never share an entry.
+    """
     linalg.check_qubit_budget(cfg.qubits, what="generator")
-    xm = linalg.kron_all([linalg.PAULI_X.real] * cfg.m)
-    total = np.zeros((2**cfg.qubits, 2**cfg.qubits))
-    for k in range(cfg.N):
-        total += linalg.kron_all(
-            [np.eye(2 ** (cfg.m * k)), xm, np.eye(2 ** (cfg.m * (cfg.N - 1 - k)))]
-        )
-    return total
+    index = np.arange(2**cfg.qubits)[:, None]
+    masks = ((1 << cfg.m) - 1) << (cfg.m * np.arange(cfg.N))
+    gen = np.zeros((index.size, index.size))
+    gen[index, index ^ masks] = 1.0
+    return gen
 
 
 def single_z_generator(n_qubits):
@@ -102,17 +104,23 @@ def fisher_dense(rho, gen):
     gen = np.asarray(gen)
     if rho.shape != gen.shape:
         raise InputError(f"shape mismatch: {rho.shape} vs {gen.shape}")
-    evals, evecs = linalg.eig_hermitian(rho)
-    if evals[0] < -1e-9 or abs(float(np.sum(evals)) - 1.0) > 1e-9:
+    # eigenvectors of rho stay inside the blocks of the union pattern, where
+    # gen is block diagonal too, so pairs from different blocks have <k|A|j> = 0
+    blocks = [(*linalg.eig_hermitian(rhos), gens) for rhos, gens in linalg.direct_sum_blocks(rho, gen)]
+    evals = np.concatenate([lam.ravel() for lam, _, _ in blocks])
+    if evals.min() < -1e-9 or abs(float(np.sum(evals)) - 1.0) > 1e-9:
         raise InputError("rho must be positive semidefinite with unit trace")
-    evals = np.clip(evals, 0.0, None)
-    if np.max(np.abs(gen - gen.conj().T)) > linalg.HERMITICITY_TOL:
-        raise InputError("generator must be Hermitian")
-    a_elems = evecs.conj().T @ gen @ evecs
-    lam_sum = evals[:, None] + evals[None, :]
-    lam_diff = evals[:, None] - evals[None, :]
-    weights = np.where(lam_sum > FISHER_PAIR_SKIP, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
-    return float(2.0 * np.sum(weights * np.abs(a_elems) ** 2))
+    total = 0.0
+    for lam, vecs, gens in blocks:
+        if np.max(np.abs(gens - gens.conj().swapaxes(-1, -2))) > linalg.HERMITICITY_TOL:
+            raise InputError("generator must be Hermitian")
+        a_elems = vecs.conj().swapaxes(-1, -2) @ gens @ vecs
+        lam = np.clip(lam, 0.0, None)
+        lam_sum = lam[:, :, None] + lam[:, None, :]
+        lam_diff = lam[:, :, None] - lam[:, None, :]
+        weights = np.where(lam_sum > FISHER_PAIR_SKIP, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
+        total += float(np.sum(weights * np.abs(a_elems) ** 2))
+    return 2.0 * total
 
 
 def fisher(cfg: BlockConfig, p, generator="block-x"):
@@ -129,8 +137,8 @@ def fisher(cfg: BlockConfig, p, generator="block-x"):
 
 def _project_logical(cfg, rho):
     """Project every block onto span{|0..0>, |1..1>} (unnormalized): P rho P as a 0/1 mask."""
-    block = np.zeros(2**cfg.m)
-    block[[0, -1]] = 1.0
+    block = np.zeros((1, 2**cfg.m))
+    block[0, [0, -1]] = 1.0
     keep = linalg.kron_all([block] * cfg.N).reshape(-1)
     return rho * np.outer(keep, keep)
 

@@ -52,8 +52,9 @@ def cghz(cfg):
     minus = ghz(cfg.m, -1)
     vp, vm = plus, minus
     for _ in range(cfg.N - 1):
-        vp = np.kron(vp, plus)
-        vm = np.kron(vm, minus)
+        # the Kronecker product of two vectors, without np.kron's per-call overhead
+        vp = np.multiply.outer(vp, plus).ravel()
+        vm = np.multiply.outer(vm, minus).ravel()
     return (vp + vm) / np.sqrt(2)
 
 

@@ -248,6 +248,26 @@ def test_twelve_qubit_dense_certification():
     )
 
 
+def test_twelve_qubit_fisher_and_coherence_certification():
+    # Fisher information for both generators against the sector sums, and the
+    # coherence norm against the closed form, at (4, 3), 12 qubits
+    started = time.perf_counter()
+    cfg, p = BlockConfig(4, 3), 0.7
+    fisher_dev = {
+        gen: abs(spectral.fisher_information(cfg, p, generator=gen) - oracle.fisher(cfg, p, generator=gen))
+        for gen in ("block-x", "single-z")
+    }
+    coh_dev = abs(analytic.coherence_norm(cfg, p) - oracle.coherence_norm(cfg, p))
+    report(
+        "12-qubit certification (Fisher information and coherence norm vs dense oracle)",
+        max(fisher_dev.values()) <= 1e-8 and coh_dev <= 1e-10,
+        f"Fisher deviation block-x {fisher_dev['block-x']:.2e}, single-z {fisher_dev['single-z']:.2e} (tol 1e-8), "
+        f"coherence deviation {coh_dev:.2e} (tol 1e-10)",
+        started,
+        limit=60,
+    )
+
+
 def test_criterion_8_fisher_information():
     started = time.perf_counter()
     pure_worst = 0.0

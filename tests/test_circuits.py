@@ -329,6 +329,13 @@ class TestTextFormat:
         with pytest.raises(InputError):
             parse_circuit("QUBITS 2\nL NOPE 0\n")
 
+    @pytest.mark.parametrize(
+        "text", ["QUBITS 2\nZ 1 x\n", "QUBITS 2\nL X q\n", "QUBITS 2\nMS abc\n", "QUBITS 2\nMS 1/0\n"]
+    )
+    def test_parse_rejects_malformed_numbers(self, text):
+        with pytest.raises(InputError, match="bad number"):
+            parse_circuit(text)
+
     def test_gate_names_resolve(self):
         for name in ("I", "X", "Y", "Z", "H", "S", "SDG", "P1/4", "P-3/8"):
             u = local_unitary(name)

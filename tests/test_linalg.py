@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cghz import linalg
+from cghz import linalg, oracle
 from cghz.errors import InputError
 
 
@@ -126,3 +126,111 @@ def test_qubit_count_rejects_non_powers():
     with pytest.raises(InputError):
         linalg.qubit_count(6)
     assert linalg.qubit_count(8) == 3
+
+
+def random_block(rng, size, hermitian, path=False):
+    """A random complex block; with path=True only the diagonal and the first off-diagonals are nonzero."""
+    block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    if path:
+        block = np.triu(np.tril(block, 1), -1)
+    return block + block.conj().T if hermitian else block
+
+
+def permuted_direct_sum(rng, blocks):
+    """The direct sum of the blocks with its rows and columns under one random permutation."""
+    n = sum(len(b) for b in blocks)
+    total = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        total[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    perm = rng.permutation(n)
+    return total[np.ix_(perm, perm)]
+
+
+block_sizes = st.one_of(
+    st.lists(st.just(1), min_size=1, max_size=12),
+    st.lists(st.integers(1, 6), min_size=1, max_size=10),
+    st.integers(1, 24).map(lambda s: [s]),
+)
+
+
+class TestDirectSumBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(block_sizes, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_hermitian_direct_sum(self, sizes, path, seed):
+        # path blocks are connected through a chain of entries only, so under
+        # the permutation the first-neighbour pointers of a block rarely share a root
+        rng = np.random.default_rng(seed)
+        mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=True, path=path) for s in sizes])
+        found = [s for stack, in linalg.direct_sum_blocks(mat) for s in [stack.shape[1]] * stack.shape[0]]
+        assert found == sorted(sizes)
+        evals = linalg.eigvals_hermitian(mat)
+        assert np.max(np.abs(evals - np.linalg.eigvalsh(mat))) <= 1e-12 * max(1.0, np.max(np.abs(evals)))
+        ref = np.sum(np.linalg.svd(mat, compute_uv=False))
+        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_sizes, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_non_hermitian_direct_sum(self, sizes, path, seed):
+        rng = np.random.default_rng(seed)
+        mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=False, path=path) for s in sizes])
+        ref = np.sum(np.linalg.svd(mat, compute_uv=False))
+        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+
+    def test_one_sided_entry_joins_two_blocks(self):
+        # M[i, j] != 0 while M[j, i] == 0: only the symmetrised pattern sees the link
+        rng = np.random.default_rng(8)
+        mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=True) for s in (3, 1, 2, 4)])
+        zero_pairs = np.argwhere(mat == 0)
+        i, j = zero_pairs[len(zero_pairs) // 2]
+        mat[i, j] = 0.5
+        assert mat[j, i] == 0
+        for one_sided in (mat, mat.T):
+            assert sum(len(stack) for stack, in linalg.direct_sum_blocks(one_sided)) == 3
+        ref = np.sum(np.linalg.svd(mat, compute_uv=False))
+        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+        with pytest.raises(InputError):
+            linalg.eigvals_hermitian(mat)
+
+    def test_union_of_patterns(self):
+        diag = np.diag([1.0, 2.0, 3.0, 4.0])
+        link = np.zeros((4, 4))
+        link[0, 3] = link[3, 0] = 1.0
+        stacks = linalg.direct_sum_blocks(diag, link)
+        assert [stack.shape for stack, _ in stacks] == [(2, 1, 1), (1, 2, 2)]
+        np.testing.assert_array_equal(stacks[1][0][0], [[1.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(stacks[1][1][0], [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(InputError):
+            linalg.direct_sum_blocks(np.eye(4), np.eye(2))
+        with pytest.raises(InputError):
+            linalg.direct_sum_blocks(np.ones((2, 3)))
+
+
+def unsplit_fisher(rho, gen):
+    """2 sum_jk (l_k - l_j)^2/(l_k + l_j) |<k|A|j>|^2 from one eigendecomposition of the whole rho."""
+    evals, evecs = np.linalg.eigh(rho)
+    evals = np.clip(evals, 0.0, None)
+    a_elems = evecs.conj().T @ gen @ evecs
+    lam_sum = evals[:, None] + evals[None, :]
+    lam_diff = evals[:, None] - evals[None, :]
+    weights = np.where(lam_sum > oracle.FISHER_PAIR_SKIP, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
+    return float(2.0 * np.sum(weights * np.abs(a_elems) ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2**32 - 1))
+def test_fisher_splits_on_the_union_pattern(n, seed):
+    # a diagonal rho splits into n blocks of size 1; the generator couples them
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    weights[rng.random(n) < 0.3] = 0.0
+    weights[0] += 0.1
+    rho = np.diag(weights / weights.sum())
+    gen = random_block(rng, n, hermitian=True)
+    gen[rng.random((n, n)) < 0.5] = 0.0
+    gen = np.triu(gen) + np.triu(gen, 1).conj().T
+    ref = unsplit_fisher(rho, gen)
+    assert abs(oracle.fisher_dense(rho, gen) - ref) <= 1e-12 * max(1.0, ref)

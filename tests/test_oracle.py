@@ -161,6 +161,24 @@ def test_single_z_generator_is_the_kronecker_sum(n_qubits):
     assert np.array_equal(gen, kronecker_single_z(n_qubits))
 
 
+def kronecker_block_x(cfg):
+    """Reference sum_k I (x) .. (x) X^(x)m on block k (x) .. (x) I built from dense Kronecker products."""
+    xm = linalg.kron_all([linalg.PAULI_X.real] * cfg.m)
+    total = np.zeros((2**cfg.qubits, 2**cfg.qubits))
+    for k in range(cfg.N):
+        total += linalg.kron_all([np.eye(2 ** (cfg.m * k)), xm, np.eye(2 ** (cfg.m * (cfg.N - 1 - k)))])
+    return total
+
+
+@pytest.mark.parametrize(
+    "cfg", [BlockConfig(n, m) for m in range(1, 5) for n in range(1, 9 // m + 1)] + [BlockConfig(5, 2)], ids=lambda c: f"N{c.N}-m{c.m}"
+)
+def test_block_x_generator_is_the_kronecker_sum(cfg):
+    gen = oracle.block_x_generator(cfg)
+    assert gen.dtype == np.float64
+    assert np.array_equal(gen, kronecker_block_x(cfg))
+
+
 def test_single_z_fisher_unchanged_by_the_diagonal_generator():
     cfg = BlockConfig(3, 2)
     rho = oracle.decohered_cghz(cfg, 0.8)

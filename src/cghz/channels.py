@@ -8,9 +8,9 @@ which keeps populations with weights a = (1+p)/2, b = (1-p)/2 and scales
 single-qubit coherences |0><1| by p.  `depolarize` applies the Pauli sum
 literally (identity included); `depolarize_all` applies the equivalent
 replace-with-I/2 form p M + (1-p) Tr_k(M) (x) I/2 on every qubit k, in place
-on one copy, and tests assert the two agree.  p is the primary parameter
-everywhere; the command line converts a rate/time pair (kappa, t) to
-p = exp(-kappa t).
+on one copy, to a single matrix or to a whole stack in the same passes, and
+tests assert the two agree.  p is the primary parameter everywhere; the
+command line converts a rate/time pair (kappa, t) to p = exp(-kappa t).
 """
 
 import math
@@ -61,16 +61,22 @@ def depolarize(mat, qubit, p):
 
 
 def depolarize_all(mat, p):
-    """Apply the channel to every qubit of a copy; real input stays real, complex stays complex."""
+    """Apply the channel to every qubit of a copy of a square matrix, or of each matrix in a stack.
+
+    `mat` has shape (..., 2^q, 2^q); every matrix of a stack gets the same
+    channel in the same passes.  Real input stays real, complex stays complex.
+    """
     p = survival(p)
     mat = np.asarray(mat)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise InputError(f"need a square matrix or a stack of them, got shape {mat.shape}")
     mat = mat.astype(np.result_type(mat, 1.0))
-    q = linalg.qubit_count(mat.shape[0])
+    q = linalg.qubit_count(mat.shape[-1])
     for k in range(q):
         # row and column index split as (qubits before k, qubit k, qubits after k)
-        t = mat.reshape(2**k, 2, 2 ** (q - 1 - k), 2**k, 2, 2 ** (q - 1 - k))
-        mixed = (1 - p) / 2 * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t = mat.reshape(mat.shape[:-2] + (2**k, 2, 2 ** (q - 1 - k), 2**k, 2, 2 ** (q - 1 - k)))
+        mixed = (1 - p) / 2 * (t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :])
         t *= p
-        t[:, 0, :, :, 0, :] += mixed
-        t[:, 1, :, :, 1, :] += mixed
+        t[..., 0, :, :, 0, :] += mixed
+        t[..., 1, :, :, 1, :] += mixed
     return mat

@@ -11,6 +11,7 @@ the same records with run metadata.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -168,12 +169,14 @@ def _json_envelope(args, records):
 
 
 def _cmd_eval(args):
-    if args.N is None and args.quantity != "threshold":
+    # the threshold is the largest distillable N, so a given --N takes no part in it
+    threshold = args.quantity == "threshold"
+    if args.N is None and not threshold:
         raise _UsageError("--N is required for this quantity")
     if args.threshold_cap < 2:
         raise _UsageError(f"--threshold-cap must be >= 2, got {args.threshold_cap}")
     p = _noise_from_args(args)
-    cfg = BlockConfig(N=args.N if args.quantity != "threshold" else 2, m=args.m)
+    cfg = BlockConfig(N=2 if threshold else args.N, m=args.m)
     engines = _engines_for(args.quantity, args.engine)
     values, errors, runtimes, discrepancy = _evaluate_point(
         args.quantity, engines, cfg, p, args.generator, args.threshold_cap
@@ -181,7 +184,7 @@ def _cmd_eval(args):
     if errors:
         raise next(iter(errors.values()))
     columns = _columns("runtime", args.engine == "all")
-    n_cell = args.N if args.N is not None else ""
+    n_cell = "" if threshold else args.N
     records = [
         _record(columns, args.quantity, n_cell, args.m, p, e, values[e], runtimes[e], discrepancy)
         for e in engines
@@ -401,11 +404,14 @@ def build_parser():
     return parser
 
 
+# one parser per process, built on first use: parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.argv = argv
         return args.func(args)
     except _UsageError as exc:

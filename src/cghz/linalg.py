@@ -45,7 +45,8 @@ def kron_all(ops):
     for op in ops:
         op = np.asarray(op)
         rows, cols = out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
-        out = np.multiply.outer(out, op).swapaxes(1, 2).reshape(rows, cols)
+        # the broadcast product is laid out (row, row, col, col) already, so the reshape copies nothing
+        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(rows, cols)
     return out
 
 
@@ -93,7 +94,8 @@ def direct_sum_blocks(*mats):
     n = shape[0]
     linked = mats[0] != 0
     for mat in mats[1:]:
-        linked |= mat != 0
+        # in place: at 12 qubits a full-size boolean temporary is 16 MB
+        np.logical_or(linked, mat, out=linked)
     linked.flat[:: n + 1] = True
     # every index points at its first neighbour, which is never above it, so
     # the pointers form a forest; pointer jumping takes each index to its root.
@@ -105,7 +107,8 @@ def direct_sum_blocks(*mats):
         up = label[label]
         while (up != label).any():
             label, up = up, up[up]
-        cut = linked & (label[:, None] != label)
+        cut = label[:, None] != label
+        cut &= linked
         if not cut.any():
             break
         rows, cols = np.nonzero(cut)

@@ -15,25 +15,70 @@ import numpy as np
 from . import linalg
 from .errors import InputError, ResourceLimitError
 from .channels import depolarize_all
-from .states import BlockConfig, cghz, ghz
+from .states import BlockConfig, ghz
 
 FISHER_PAIR_SKIP = 1e-14
 
 
 def decohered_cghz(cfg: BlockConfig, p):
-    """Density matrix of the concatenated GHZ state after white noise on every qubit."""
+    """Density matrix of the concatenated GHZ state after white noise on every qubit.
+
+    The state is 2^((1-N)/2) sum_x |x_L> over the even-weight logical strings
+    x, and the channel on all qubits is the channel on one block, N times.  So
+    the result is 2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k}, where the four
+    2^m x 2^m matrices B_ab = E^(x)m(|a_L><b_L|) come from one
+    `depolarize_all` call (one block needs B_00 only: the state is then
+    |0_L>).  The sum is assembled one block at a time: the partial sums S_ab
+    over the strings of a prefix whose ket and bra parities are (a, b) grow
+    as S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
+    leading factor, in the slots (i, j) where some B_cd is exactly nonzero.
+    Every term is non-negative, so the exact zeros are those of the literal
+    E^(x)q(|psi><psi|).
+    """
     linalg.check_qubit_budget(cfg.qubits, what="decohered state")
-    psi = cghz(cfg)
-    return depolarize_all(np.outer(psi, psi.conj()), p)
+    dim_b = 2**cfg.m
+    ends = (0, dim_b - 1)  # |0_L> = |0...0> and |1_L> = |1...1>
+    # a prefix carries both parities of ket and bra, the whole string only (0, 0)
+    n = 1 if cfg.N == 1 else 2
+    logical = np.zeros((n, n, dim_b, dim_b))
+    for a, b in product(range(n), repeat=2):
+        logical[a, b, ends[a], ends[b]] = 1.0
+    blocks = depolarize_all(logical, p)
+    # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
+    rows, cols = np.nonzero(blocks.any(axis=(0, 1)))
+    coeffs = blocks[:, :, rows, cols].reshape(n * n, -1).T.tolist()
+    slots = [
+        (i, j, [(ab, c) for ab, c in enumerate(cs) if c]) for i, j, cs in zip(rows.tolist(), cols.tolist(), coeffs)
+    ]
+    sums = blocks  # S for the one-block prefix
+    for k in range(2, cfg.N + 1):
+        if k < cfg.N:
+            # S reversed along a parity axis reads S_{a^1}: every output parity at once
+            n, scale, parity = 2, 1.0, (slice(None), slice(None, None, -1))
+        else:
+            # the whole string needs parities (0, 0) only; the factor 2^(1-N) scales exactly
+            n, scale, parity = 1, 2.0 ** (1 - cfg.N), (slice(0, 1), slice(1, 2))
+        source = [sums[parity[a], parity[b]] for a, b in product((0, 1), repeat=2)]
+        dim = sums.shape[-1]
+        new = np.zeros((n, n, dim_b, dim, dim_b, dim))
+        for i, j, ((ab, c), *rest) in slots:
+            block = (c * scale) * source[ab]
+            for ab, c in rest:
+                block += (c * scale) * source[ab]
+            new[:, :, i, :, j, :] = block
+        sums = new.reshape(n, n, dim_b * dim, dim_b * dim)
+    return sums[0, 0]
 
 
 def decohered_coherence(cfg: BlockConfig, p):
-    """Decohered N-block cross operator E |GHZ^+><GHZ^-|^(x)N (traceless, non-Hermitian)."""
+    """Decohered N-block cross operator E |GHZ^+><GHZ^-|^(x)N (traceless, non-Hermitian).
+
+    The channel acts block by block, so this is the N-th Kronecker power of
+    the one decohered block E^(x)m |GHZ^+><GHZ^-|.
+    """
     linalg.check_qubit_budget(cfg.qubits, what="decohered coherence operator")
-    plus, minus = ghz(cfg.m, +1), ghz(cfg.m, -1)
-    block = np.outer(plus, minus.conj())
-    op = linalg.kron_all([block] * cfg.N)
-    return depolarize_all(op, p)
+    block = depolarize_all(np.outer(ghz(cfg.m, +1), ghz(cfg.m, -1)), p)
+    return linalg.kron_all([block] * cfg.N)
 
 
 def coherence_norm(cfg: BlockConfig, p):
@@ -114,12 +159,18 @@ def fisher_dense(rho, gen):
     for lam, vecs, gens in blocks:
         if np.max(np.abs(gens - gens.conj().swapaxes(-1, -2))) > linalg.HERMITICITY_TOL:
             raise InputError("generator must be Hermitian")
-        a_elems = vecs.conj().swapaxes(-1, -2) @ gens @ vecs
+        # in place where possible: at 12 qubits each of these arrays is a full dense matrix
+        a_squared = np.abs(vecs.conj().swapaxes(-1, -2) @ gens @ vecs)
+        a_squared **= 2
         lam = np.clip(lam, 0.0, None)
         lam_sum = lam[:, :, None] + lam[:, None, :]
-        lam_diff = lam[:, :, None] - lam[:, None, :]
-        weights = np.where(lam_sum > FISHER_PAIR_SKIP, lam_diff**2 / np.where(lam_sum > 0, lam_sum, 1.0), 0.0)
-        total += float(np.sum(weights * np.abs(a_elems) ** 2))
+        weights = lam[:, :, None] - lam[:, None, :]
+        weights **= 2
+        live = lam_sum > FISHER_PAIR_SKIP
+        np.divide(weights, lam_sum, out=weights, where=live)
+        weights[~live] = 0.0
+        weights *= a_squared
+        total += float(np.sum(weights))
     return 2.0 * total
 
 
@@ -133,14 +184,6 @@ def fisher(cfg: BlockConfig, p, generator="block-x"):
     else:
         raise InputError(f"unknown generator {generator!r}")
     return fisher_dense(rho, gen)
-
-
-def _project_logical(cfg, rho):
-    """Project every block onto span{|0..0>, |1..1>} (unnormalized): P rho P as a 0/1 mask."""
-    block = np.zeros((1, 2**cfg.m))
-    block[0, [0, -1]] = 1.0
-    keep = linalg.kron_all([block] * cfg.N).reshape(-1)
-    return rho * np.outer(keep, keep)
 
 
 def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
@@ -160,25 +203,25 @@ def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
     kept = sorted((i, j))
     measured = [b for b in range(cfg.N) if b not in kept]
 
-    rho = _project_logical(cfg, decohered_cghz(cfg, p))
+    # projecting every block onto span{|0_L>, |1_L>} keeps the 2^N x 2^N
+    # submatrix at the logical indices, where a block reads 0...0 or 1...1
+    index = np.zeros(1, dtype=np.int64)
+    for _ in range(cfg.N):
+        index = (index[:, None] * 2**cfg.m + [0, 2**cfg.m - 1]).ravel()
+    rho = decohered_cghz(cfg, p)[np.ix_(index, index)]
     weight = float(np.real(np.trace(rho)))
 
-    dim_b = 2**cfg.m
     # reorder blocks to (kept..., measured...); the measured logical states
-    # |0_L>, |1_L> are computational basis vectors, so conditioning on an
-    # outcome record is direct indexing
+    # are basis vectors, so conditioning on an outcome record is direct indexing
     order = kept + measured
     axes = order + [cfg.N + b for b in order]
-    dk, dm = dim_b**2, dim_b ** (cfg.N - 2)
-    t = rho.reshape((dim_b,) * (2 * cfg.N)).transpose(axes).reshape(dk, dm, dk, dm)
+    dm = 2 ** (cfg.N - 2)
+    t = rho.reshape((2,) * (2 * cfg.N)).transpose(axes).reshape(4, dm, 4, dm)
     # by record parity: kept-pair indices of (|0_L 0_L>, |1_L 1_L>), and of the
     # same pair after the logical bit flip on the first kept block
-    bell = ([0, dk - 1], [(dim_b - 1) * dim_b, dim_b - 1])
+    bell = ([0, 3], [2, 1])
     records = []
-    for outcome in product((0, 1), repeat=cfg.N - 2):
-        idx = 0
-        for bit in outcome:
-            idx = idx * dim_b + (dim_b - 1 if bit else 0)
+    for idx, outcome in enumerate(product((0, 1), repeat=cfg.N - 2)):
         cond = t[:, idx, :, idx]
         norm = float(np.real(np.trace(cond)))
         prob = norm / weight if weight > 0 else 0.0

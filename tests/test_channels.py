@@ -141,3 +141,26 @@ def test_transfer_matches_dense_channel():
 def test_survival_rejects_out_of_range(p):
     with pytest.raises(InputError):
         survival(p)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (2, 2, 8, 8), (1, 2, 2)])
+@pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+def test_stack_is_channelled_matrix_by_matrix(shape, p):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape)
+    out = depolarize_all(stack, p)
+    assert out.shape == stack.shape and out.dtype == np.float64
+    for index in np.ndindex(shape[:-2]):
+        assert np.array_equal(out[index], depolarize_all(stack[index], p))
+
+
+def test_stack_leaves_its_input_alone():
+    stack = np.arange(32.0).reshape(2, 4, 4)
+    depolarize_all(stack, 0.5)
+    assert np.array_equal(stack, np.arange(32.0).reshape(2, 4, 4))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 2)])
+def test_rejects_non_square_input(shape):
+    with pytest.raises(InputError):
+        depolarize_all(np.zeros(shape), 0.5)

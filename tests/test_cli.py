@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cghz
 from cghz import spectral
 from cghz.cli import main
 from cghz.circuits import parse_circuit
@@ -26,6 +31,16 @@ class TestEval:
         assert code == 0
         value = int(out.splitlines()[1].split(",")[5])
         assert value >= 10**12
+
+    def test_threshold_record_ignores_n(self, capsys):
+        # the threshold is the largest distillable N, so --N leaves its record as it is
+        without = run(capsys, "eval", "threshold", "--m", "3", "--p", "0.9")
+        given = run(capsys, "eval", "threshold", "--N", "10", "--m", "3", "--p", "0.9")
+        rows = [out.splitlines()[1].split(",") for _, out, _ in (without, given)]
+        assert [code for code, _, _ in (without, given)] == [0, 0]
+        assert rows[0][1] == rows[1][1] == ""
+        # every cell but the runtime
+        assert rows[0][:6] == rows[1][:6]
 
     def test_negativity_initial_value(self, capsys):
         code, out, _ = run(capsys, "eval", "negativity", "--N", "2", "--m", "2", "--p", "1")
@@ -182,6 +197,24 @@ class TestExitCodes:
         code, _, err = run(capsys, *command, "--engine", "all")
         assert code == 3
         assert "consistency error" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a usage error must leave nothing
+    # behind that a later call could see
+    calls = [
+        ("eval", "nonsense", "--N", "2", "--m", "1", "--p", "0.9"),
+        ("sweep", "coherence", "--n-list", "2,3", "--m", "1,2", "--p", "0.9"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    src = str(Path(cghz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "cghz.cli", *argv], capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in in_process] == [1, 0]
+    assert in_process == fresh
 
 
 class TestJsonRecords:

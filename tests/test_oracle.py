@@ -1,9 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cghz import analytic, linalg, oracle
+from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
 from cghz.states import BlockConfig, cghz, ghz, random_orthogonal_pair
 
@@ -30,6 +34,49 @@ class TestDecoheredCghz:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             oracle.decohered_cghz(BlockConfig(7, 2), 0.9)
+
+
+def literal_decohered_cghz(cfg, p):
+    """Reference: the channel on every qubit of |psi><psi|, with psi from states.cghz."""
+    psi = cghz(cfg)
+    return depolarize_all(np.outer(psi, psi), p)
+
+
+def literal_decohered_coherence(cfg, p):
+    """Reference: the N-block cross operator built first, then the channel on every qubit."""
+    return depolarize_all(linalg.kron_all([np.outer(ghz(cfg.m, +1), ghz(cfg.m, -1))] * cfg.N), p)
+
+
+SMALL_SHAPES = [(n, m) for m in range(1, 9) for n in range(1, 8 // m + 1)]
+DYADIC_P = st.integers(0, 64).map(lambda k: k / 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), DYADIC_P)
+@example((1, 1), 0.0)
+@example((8, 1), 1.0)
+@example((2, 4), 1.0)
+@example((4, 2), 0.0)
+def test_block_assembly_matches_the_literal_state(shape, p):
+    cfg = BlockConfig(*shape)
+    rho = oracle.decohered_cghz(cfg, p)
+    ref = literal_decohered_cghz(cfg, p)
+    assert rho.shape == ref.shape and rho.dtype == ref.dtype == np.float64
+    # every term is non-negative, so both have the same exact zeros
+    assert np.array_equal(rho != 0, ref != 0)
+    assert np.all(np.abs(rho - ref) <= 4e-15 * np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), DYADIC_P)
+@example((1, 3), 0.5)
+@example((8, 1), 1.0)
+def test_coherence_kronecker_power_matches_the_literal_operator(shape, p):
+    # values only: entries that vanish exactly need not come out as exact
+    # zeros in either form
+    cfg = BlockConfig(*shape)
+    op = oracle.decohered_coherence(cfg, p)
+    np.testing.assert_allclose(op, literal_decohered_coherence(cfg, p), rtol=0, atol=1e-15)
 
 
 class TestDecoheredCoherence:
@@ -140,6 +187,33 @@ class TestDistillProtocol:
             assert oracle.distill_protocol_average(cfg, 0.8, kept_pair=pair) == pytest.approx(
                 base, abs=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "shape, kept_pair", [((2, 1), (0, 1)), ((3, 2), (2, 0)), ((4, 2), (1, 3)), ((3, 3), (0, 2))]
+    )
+    def test_records_match_the_literal_projection(self, shape, kept_pair):
+        # reference: mask the full state to the logical span of every block,
+        # then condition on each record by summing over the measured blocks
+        cfg, p = BlockConfig(*shape), 0.8
+        dim_b = 2**cfg.m
+        keep = np.zeros(dim_b)
+        keep[[0, -1]] = 1.0
+        mask = linalg.kron_all([keep[None, :]] * cfg.N).ravel()
+        rho = literal_decohered_cghz(cfg, p) * np.outer(mask, mask)
+        t = rho.reshape((dim_b,) * (2 * cfg.N))
+        measured = [b for b in range(cfg.N) if b not in kept_pair]
+        records = oracle.distill_protocol_outcomes(cfg, p, kept_pair)
+        assert [outcome for outcome, _, _ in records] == list(product((0, 1), repeat=cfg.N - 2))
+        for outcome, prob, fid in records:
+            index = [slice(None)] * (2 * cfg.N)
+            for b, bit in zip(measured, outcome):
+                index[b] = index[cfg.N + b] = dim_b - 1 if bit else 0
+            # the kept pair in ascending block order; on odd parity the first kept
+            # block is flipped, so the Bell pair reads (|1_L 0_L>, |0_L 1_L>)
+            cond = t[tuple(index)].reshape(dim_b**2, dim_b**2)
+            bell = [(dim_b - 1) * dim_b, dim_b - 1] if sum(outcome) % 2 else [0, dim_b**2 - 1]
+            assert prob == pytest.approx(np.trace(cond) / np.trace(rho), rel=1e-13)
+            assert fid == pytest.approx(cond[np.ix_(bell, bell)].sum() / (2 * np.trace(cond)), rel=1e-13)
 
     def test_requires_two_blocks(self):
         with pytest.raises(InputError):

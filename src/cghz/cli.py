@@ -275,8 +275,8 @@ def _cmd_sweep(args):
 
 def _cmd_random_compare(args):
     p = _noise_from_args(args)
-    if args.m > 4:
-        raise _UsageError(f"random-compare is specified for m <= 4, got {args.m}")
+    if not 1 <= args.m <= 4:
+        raise _UsageError(f"random-compare is specified for 1 <= m <= 4, got {args.m}")
     if args.samples < 0:
         raise _UsageError(f"--samples must be >= 0, got {args.samples}")
     reference = oracle.generic_coherence_norm(ghz(args.m, +1), ghz(args.m, -1), p)

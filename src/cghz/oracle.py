@@ -157,8 +157,7 @@ def fisher_dense(rho, gen):
         raise InputError("rho must be positive semidefinite with unit trace")
     total = 0.0
     for lam, vecs, gens in blocks:
-        if np.max(np.abs(gens - gens.conj().swapaxes(-1, -2))) > linalg.HERMITICITY_TOL:
-            raise InputError("generator must be Hermitian")
+        linalg._checked_hermitian(gens)
         # in place where possible: at 12 qubits each of these arrays is a full dense matrix
         a_squared = np.abs(vecs.conj().swapaxes(-1, -2) @ gens @ vecs)
         a_squared **= 2

@@ -40,7 +40,8 @@ term is lost to underflow: only exact zeros (kernel pairs, no cross weight)
 are skipped.  Block-x Fisher terms all carry K T^2/S, which the multinomial
 theorem sums over the sectors with n logical blocks to C(N, n) A^(N-n),
 A = sum_(w>=1, s_w>0) counts_w t_w^2/s_w: an O(N^2) sum over (n, h).
-Multiplicities are exact integers; reductions accumulate with math.fsum.
+The spectrum is float64 eigenvalues with parallel exact integer multiplicities
+(Python ints in an object array); reductions accumulate with math.fsum.
 """
 
 import math
@@ -89,28 +90,28 @@ def doublet_algebra(m, p):
     return DoubletAlgebra(m=m, p=p, q=p**m, counts=tuple(doublet_count(m, w) for w in weights), s=s, t=t)
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
-    eigenvalue: float
-    multiplicity: int  # exact
-
-
 @dataclass(frozen=True)
 class SectorSpectrum:
-    entries: tuple
+    """Eigenvalues (float64) with parallel exact multiplicities (Python ints in an object array).
+
+    Order: sectors in `_compositions` order, then h ascending, then the + branch before the - branch.
+    """
+
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
     total_dim: int
 
     def multiplicity_total(self):
-        return sum(e.multiplicity for e in self.entries)
+        return sum(self.multiplicities.tolist())
 
     def weighted_sum(self):
-        return math.fsum(e.eigenvalue * e.multiplicity for e in self.entries)
+        return math.fsum(self.eigenvalues * self.multiplicities.astype(float))
 
     def expanded(self):
         """All eigenvalues repeated by multiplicity, ascending (oracle-comparison aid)."""
         if self.total_dim > 1 << 22:
             raise ResourceLimitError(f"refusing to expand {self.total_dim} eigenvalues")
-        out = np.repeat([e.eigenvalue for e in self.entries], [e.multiplicity for e in self.entries])
+        out = np.repeat(self.eigenvalues, self.multiplicities.astype(np.intp))
         out.sort()
         return out
 
@@ -192,36 +193,32 @@ class _Table:
 
 
 def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
-    """Exact eigenvalues of the decohered state with integer multiplicities."""
-    tab = _Table(cfg, p, max_sectors)
-    return SectorSpectrum(entries=tuple(_spectrum_entries(tab)), total_dim=1 << (cfg.N * cfg.m))
+    """Exact eigenvalues (S g_h +- T c_h)/2 per sector and h <= n/2, with exact integer multiplicities.
 
-
-def _spectrum_entries(tab):
-    """(S g_h +- T c_h)/2 per sector and h <= n/2, with multiplicity instances * 2^(N-n) * C(n, h).
-
-    Instances are N!/prod(c!) prod(counts^c); a mirror pair h = n/2 counts half its strings
-    (C(n, n/2) is even for n > 0; the n = 0 sector halves its outer z patterns instead).
+    A pair's multiplicity is the sector's instance count N!/prod(c!) prod(counts^c) 2^(N-n) times
+    C(n, h); a mirror pair h = n/2 counts half its strings (C(n, n/2) is even for n > 0; the n = 0
+    sector halves its outer z patterns instead).
     """
-    N, counts = tab.N, tab.alg.counts
+    tab = _Table(cfg, p, max_sectors)
+    N = tab.N
     cols, _, log_s, log_ts = tab.sectors()
     log_t = log_s + log_ts
     n = cols[0]
-    fact = [math.factorial(j) for j in range(N + 1)]
-    strings = [[math.comb(j, i) >> (0 < j == 2 * i) for i in range(j // 2 + 1)] for j in range(N + 1)]
+    fact = np.array([math.factorial(j) for j in range(N + 1)], dtype=object)
+    instances = np.array([fact[N] << (N - j) for j in range(N + 1)], dtype=object)[np.maximum(n, 1)]
+    for c, count in zip(cols, tab.alg.counts):
+        instances = instances // fact[c] * np.array([count**j for j in range(N + 1)], dtype=object)[c]
+    half = range(N // 2 + 1)
+    strings = np.array([[math.comb(j, i) >> (0 < j == 2 * i) for i in half] for j in range(N + 1)], dtype=object)
+    values, mults = [], []
     with np.errstate(divide="ignore"):
         for rows, h in tab.pairs(n // 2 + 1):
             (g, c), scale = tab.logical([(tab.E, n[rows] - h, h), (tab.F, n[rows] - h, h)])
             big = np.exp(log_s[rows] + scale + np.log(g)) / 2
             small = np.exp(log_t[rows] + scale + np.log(c)) / 2
-            values = iter(np.stack([big + small, big - small], axis=1).ravel())
-            for comp in zip(*(col[rows[0] : rows[-1] + 1].tolist() for col in cols)):
-                k = fact[N] << (N - comp[0] - (comp[0] == 0))
-                for blocks, count in zip(comp, counts):
-                    k = k // fact[blocks] * count**blocks
-                for mult in map(k.__mul__, strings[comp[0]]):
-                    yield SpectrumEntry(next(values), mult)
-                    yield SpectrumEntry(next(values), mult)
+            values.append(np.stack([big + small, big - small], axis=1).ravel())
+            mults.append((instances[rows] * strings[n[rows], h]).repeat(2))
+    return SectorSpectrum(np.concatenate(values), np.concatenate(mults), total_dim=1 << cfg.qubits)
 
 
 def negativity(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):

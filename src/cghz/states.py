@@ -38,6 +38,8 @@ def ghz(m, sign=+1):
     """(|0...0> + sign |1...1>)/sqrt2 on m qubits, as a real (float64) vector."""
     if sign not in (+1, -1):
         raise InputError("sign must be +1 or -1")
+    if m < 1:
+        raise InputError(f"a GHZ state needs m >= 1 qubits, got m={m}")
     linalg.check_qubit_budget(m, what="ghz state")
     v = np.zeros(2**m)
     v[0] = 1 / np.sqrt(2)
@@ -64,8 +66,8 @@ def random_orthogonal_pair(m, seed):
     Columns of a complex Gaussian matrix are orthonormalized; the resulting
     two-frame is Haar distributed.
     """
-    if m > 6:
-        raise InputError(f"random pairs are capped at m <= 6, got m={m}")
+    if not 1 <= m <= 6:
+        raise InputError(f"random pairs need 1 <= m <= 6, got m={m}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2**m, 2)) + 1j * rng.standard_normal((2**m, 2))
     q, r = np.linalg.qr(g)

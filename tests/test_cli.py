@@ -154,6 +154,14 @@ class TestExitCodes:
                 ("random-compare", "--m", "3", "--p", "0.9", "--samples", "-3"),
                 "usage error: --samples must be >= 0",
             ),
+            (
+                ("random-compare", "--m", "0", "--samples", "2", "--p", "0.9"),
+                "usage error: random-compare is specified for 1 <= m <= 4, got 0",
+            ),
+            (
+                ("random-compare", "--m", "-1", "--samples", "2", "--p", "0.9"),
+                "usage error: random-compare is specified for 1 <= m <= 4, got -1",
+            ),
             # exp(-kappa t) = exp(-1) is a valid p; the signs alone are rejected
             (
                 ("eval", "coherence", "--N", "2", "--m", "1", "--kappa", "-1", "--t", "-1"),
@@ -173,8 +181,8 @@ class TestExitCodes:
                 "usage error: unrecognized arguments: --seed 3",
             ),
         ],
-        ids=["p-with-rate", "threshold-cap", "samples", "negative-rate", "eval-seed", "sweep-seed",
-             "synthesize-seed"],
+        ids=["p-with-rate", "threshold-cap", "samples", "random-m-zero", "random-m-negative", "negative-rate",
+             "eval-seed", "sweep-seed", "synthesize-seed"],
     )
     def test_malformed_option_value(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -153,6 +153,15 @@ class TestFisherDense:
         with pytest.raises(InputError):
             oracle.fisher_dense(np.eye(4), np.eye(4))
 
+    def test_rejects_non_hermitian_generator(self):
+        gen = np.zeros((4, 4), dtype=complex)
+        gen[0, 1] = 1.0  # no conjugate partner below the diagonal
+        with pytest.raises(InputError, match="not Hermitian"):
+            oracle.fisher_dense(np.eye(4) / 4, gen)
+        gen[1, 0] = 1.0 + 1e-9j  # Hermitian but for an imaginary part above the tolerance
+        with pytest.raises(InputError, match="not Hermitian"):
+            oracle.fisher_dense(np.eye(4) / 4, gen)
+
 
 class TestDistillProtocol:
     def test_noiseless_every_outcome(self):

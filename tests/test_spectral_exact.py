@@ -6,8 +6,10 @@ value of a term the engine evaluates in floating point; the positive terms
 are summed to 60 significant digits.  The enumerations walk every composition of N over the doublet classes, with the
 sector algebra written out as the `cghz.spectral` docstring states it; the
 collapsed block-x sum replaces the walk over the non-logical classes by the
-multinomial theorem.  These references reach far beyond the dense oracle's
-12 qubits.
+multinomial theorem.  The spectrum reference walks the engine's own order
+(sector, h <= n/2, + branch then - branch) and checks its multiplicities and
+trace exactly before it is compared.  These references reach far beyond the
+dense oracle's 12 qubits.
 """
 
 import math
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from cghz.spectral import fisher_information, negativity
+from cghz.spectral import cghz_spectrum, fisher_information, negativity
 from cghz.states import BlockConfig
 
 SECTOR_LIMIT = 800
@@ -75,6 +77,19 @@ def sectors(N, m, p):
                 S *= sc.s[w] ** c
                 T *= sc.t[w] ** c
         yield sc, comp[0], K, S, T
+
+
+def spectrum_terms(N, m, p):
+    """(multiplicity, S g_h/2, T c_h/2) per sector and h <= n/2; the eigenvalues are S g_h/2 +- T c_h/2.
+
+    Every sector stands for K 2^(N-n) C(n, h) eigenvector pairs; a mirror pair h = n/2 counts half its
+    strings, and the n = 0 sector half its outer z patterns.
+    """
+    for sc, n, K, S, T in sectors(N, m, p):
+        for h in range(n // 2 + 1):
+            strings = math.comb(n, h) // (2 if 0 < n == 2 * h else 1)
+            g, c = power_sum(sc.e, n - h, h), power_sum(sc.f, n - h, h)
+            yield K * 2 ** (N - max(n, 1)) * strings, S * g / 2, T * c / 2
 
 
 def negativity_terms(N, m, p):
@@ -204,3 +219,35 @@ def test_logical_weights_below_the_float_range(N, m):
     assert_close(fisher_information(cfg, NEAR_ONE), exact_block_x(N, m, NEAR_ONE))
     assert_close(fisher_information(cfg, NEAR_ONE, generator="single-z"), exact_single_z(N, m, NEAR_ONE))
     assert_close(negativity(cfg, NEAR_ONE), exact_negativity(N, m, NEAR_ONE))
+
+
+@pytest.mark.parametrize(
+    "N, m, p, rel",
+    [
+        (14, 3, 0.875, 1e-12),
+        (30, 3, 0.8125, 1e-12),
+        (8, 5, 0.9375, 1e-12),
+        (6, 7, 0.75, 1e-12),
+        (10, 4, 0.625, 1e-12),
+        (24, 1, NEAR_ONE, 1e-12),
+        # e- = (alpha^m + beta^m - p^m)/2 cancels: it rounds to 3 2^-40, 3 2^-39 (5.5e-12) relative off, and an
+        # eigenvalue carrying e-^h is off by h times that (1.3e-10 measured); at m = 1 the difference 1 - p is exact
+        (24, 3, NEAR_ONE, 2e-10),
+    ],
+)
+def test_spectrum_matches_exact_terms(N, m, p, rel):
+    assert N * m > 12 and sector_count(N, m) <= SECTOR_LIMIT
+    mults, values, scales = [], [], []
+    for k, big, small in spectrum_terms(N, m, p):
+        assert big >= abs(small)  # both eigenvalues are non-negative
+        mults += [k, k]
+        values += [big + small, big - small]
+        scales += [big, big]
+    assert sum(mults) == 2 ** (N * m)
+    assert sum(k * value for k, value in zip(mults, values)) == 1
+    spec = cghz_spectrum(BlockConfig(N, m), p)
+    assert spec.multiplicities.tolist() == mults
+    assert len(spec.eigenvalues) == len(values)
+    # the minus branch cancels, so the error is measured against S g_h / 2, the larger term
+    for engine, exact, scale in zip(spec.eigenvalues.tolist(), values, scales):
+        assert abs(Fraction(engine) - exact) <= Fraction(rel) * scale, (engine, float(exact))

@@ -56,6 +56,11 @@ class TestGhz:
         with pytest.raises(ResourceLimitError):
             ghz(13)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_a_qubit(self, m):
+        with pytest.raises(InputError):
+            ghz(m)
+
 
 class TestCghz:
     def test_single_block_collapses_to_all_zero(self):
@@ -148,6 +153,11 @@ class TestRandomOrthogonalPair:
     def test_cap(self):
         with pytest.raises(InputError):
             random_orthogonal_pair(7, 0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_a_qubit(self, m):
+        with pytest.raises(InputError):
+            random_orthogonal_pair(m, 0)
 
     def test_haar_first_moment(self):
         # mean of |<0|a>|^2 is 2^-m; Beta(1, d-1) variance gives the standard error

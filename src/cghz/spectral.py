@@ -34,18 +34,20 @@ doublet, so Fisher-information matrix elements are intra-sector and close
 in the same scalar table.
 
 Each call builds one sector table (every composition of N over the classes,
-stars and bars) with log K, log S and log T from a log-factorial table; g_h,
-c_h, gamma_h are floats while above 2^-900, else rescaled from logs.  So no
-term is lost to underflow: only exact zeros (kernel pairs, no cross weight)
-are skipped.  Block-x Fisher terms all carry K T^2/S, which the multinomial
-theorem sums over the sectors with n logical blocks to C(N, n) A^(N-n),
-A = sum_(w>=1, s_w>0) counts_w t_w^2/s_w: an O(N^2) sum over (n, h).
-The spectrum is float64 eigenvalues with parallel exact integer multiplicities
-(Python ints in an object array); reductions accumulate with math.fsum.
+stars and bars) with log K, log S and log T from a log-factorial table, and
+one table of g_h, c_h, gamma_h over (n, h) for the n that occur, floats while
+above 2^-900, else rescaled from logs: no term is lost to underflow, only
+exact zeros (kernel pairs, no cross weight) are skipped.  Negativity sorts
+each n's sectors by S/T once: (n, h) can count only for S/T <= gamma_h/g_h.
+Block-x Fisher terms all carry K T^2/S, which the multinomial theorem sums
+over the sectors with n logical blocks to C(N, n) A^(N-n), A = sum_(w>=1,
+s_w>0) counts_w t_w^2/s_w: an O(N^2) sum over (n, h).  Spectra are float64
+eigenvalues with exact Python-int multiplicities; sums use math.fsum.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -57,10 +59,11 @@ DEFAULT_SECTOR_CAP = 2_000_000
 _LN2 = math.log(2.0)
 _LOG_ZERO = -1e290  # log 0, finite so that 0 log 0 = 0 in the class sums
 _TINY = 2.0**-900  # logical weights below this are rescaled from logarithms
-_BLOCK = 1 << 10  # (row, h) pairs per vectorised block: bounds the temporaries
+_E, _F = 0, 2  # power-table rows of e+ and f+; e- and f- follow each
+_BLOCK = 1 << 10  # pairs per vectorised block, gathered from the (n, h) table: bounds the temporaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubletAlgebra:
     """The scalars through which the noisy block acts on every doublet class w = 0..m//2 (lighter weight)."""
 
@@ -105,7 +108,10 @@ class SectorSpectrum:
         return sum(self.multiplicities.tolist())
 
     def weighted_sum(self):
-        return math.fsum(self.eigenvalues * self.multiplicities.astype(float))
+        top = self.multiplicities.max()  # float() rounds 2^1024 - 2^970 up to 2^1024: then scale all by 2^-k
+        k = 0 if top < 2**1024 - 2**970 else top.bit_length() - 1023
+        weights = self.multiplicities if k == 0 else self.multiplicities / (1 << k)
+        return math.ldexp(math.fsum(self.eigenvalues * weights.astype(float)), k)
 
     def expanded(self):
         """All eigenvalues repeated by multiplicity, ascending (oracle-comparison aid)."""
@@ -132,10 +138,18 @@ def _compositions(N, parts):
     return cols + [left]
 
 
-class _Table:
-    """One (N, m, p): doublet scalars, power tables of e+- and f+- (rows E, E+1, F, F+1), log factorials."""
+def _runs(lengths):
+    """(item, offset) index arrays for every offset < lengths[item], item-major, in blocks of _BLOCK pairs."""
+    ends = lengths.cumsum()
+    starts, total = ends - lengths, int(ends[-1]) if len(ends) else 0
+    for first in range(0, total, _BLOCK):
+        flat = np.arange(first, min(first + _BLOCK, total))
+        item = ends.searchsorted(flat, side="right")
+        yield item, flat - starts[item]
 
-    E, F = 0, 2
+
+class _Table:
+    """One (N, m, p): doublet scalars, power tables of e+- and f+- (rows _E, _E+1, _F, _F+1), log factorials."""
 
     def __init__(self, cfg: BlockConfig, p, max_sectors):
         self.alg = alg = doublet_algebra(cfg.m, p)
@@ -148,7 +162,7 @@ class _Table:
         # a nonzero product of two powers is at least min(base)^N; if that is >= _TINY no logs are needed
         self.normal = min(x for x in bases if x > 0) ** N >= _TINY
         k = np.arange(N + 1)
-        self.powers = np.array(bases)[:, None] ** k
+        self.powers = np.power.outer(bases, k)
         self.logs = None if self.normal else np.array([_log(x) for x in bases])[:, None] * k
         self.lf = np.array([math.lgamma(j + 1.0) for j in range(N + 1)])
 
@@ -157,39 +171,39 @@ class _Table:
         alg = self.alg
         cols = _compositions(self.N, len(alg.s))
         log_k = self.lf[self.N] - self.lf[cols[0]]
-        log_s, log_ts = np.zeros(len(log_k)), np.zeros(len(log_k))
+        log_s = log_ts = np.zeros(len(log_k))  # rebound, never written in place
         for c, count, s, t in zip(cols[1:], alg.counts[1:], alg.s[1:], alg.t[1:]):
             log_k = log_k - self.lf[c] + c * (math.log(count) + shift)
             log_s, log_ts = log_s + c * _log(s), log_ts + c * (_log(t / s) if s > 0 else _LOG_ZERO)
         return cols, log_k, log_s, log_ts
 
-    def pairs(self, counts):
-        """(row, h) index arrays for h < counts[row] <= N + 1, in blocks of at most _BLOCK pairs."""
-        step = max(1, _BLOCK // (self.N + 1))
-        for start in range(0, len(counts), step):
-            reps = counts[start : start + step]
-            rows = np.arange(start, start + len(reps)).repeat(reps)
-            yield rows, np.arange(len(rows)) - (reps.cumsum() - reps).repeat(reps)
+    def logical(self, n, width, weights):
+        """The (n, h) table over the distinct n of the sectors `n`, h < width(n), and its logical weights.
 
-    def logical(self, weights):
-        """Logical weights x+^a x-^b + x+^b x-^a, one row per (table row, a, b), and a log scale per pair.
-
-        Weights are plain float power sums while all of a pair's are >= _TINY; other pairs are redone
-        from logarithms relative to their largest weight, whose log is the scale: none underflows.
+        Returns each sector's offset (its entry for h is offset + h), the entries' n and h, per (table row, d)
+        the weight x+^(n-b) x-^b + x+^b x-^(n-b) at b = h + d, and a log scale per entry: plain float power
+        sums while all of an entry's are >= _TINY, else redone from logarithms relative to the largest weight.
         """
-        rows = np.array([[r] for i, _, _ in weights for r in (i, i + 1, i, i + 1)])
-        cols = np.array([x for _, a, b in weights for x in (a, b, b, a)])
-        terms = self.powers[rows, cols]
-        terms = terms[0::2] * terms[1::2]
-        values = terms[0::2] + terms[1::2]
+        js = np.bincount(n, minlength=1).nonzero()[0]
+        sizes = width(js)
+        base = np.zeros(self.N + 1, dtype=np.intp)
+        base[js] = sizes.cumsum() - sizes
+        j = js.repeat(sizes)
+        h = np.arange(len(j)) - base[j]
+        rest, values, logs = j - h, [], []
+        for i, d in weights:
+            a, b = (rest - d, h + d) if d else (rest, h)
+            x, y = self.powers[i], self.powers[i + 1]
+            values.append(x[a] * y[b] + x[b] * y[a])
+            if not self.normal:
+                x, y = self.logs[i], self.logs[i + 1]
+                logs.append(np.logaddexp(x[a] + y[b], x[b] + y[a]))
         if self.normal:
-            return values, 0.0
-        terms = self.logs[rows, cols]
-        terms = terms[0::2] + terms[1::2]
-        logs = np.logaddexp(terms[0::2], terms[1::2])
+            return base[n], j, h, values, np.zeros(len(h))
+        values, logs = np.array(values), np.array(logs)
         low = ((values < _TINY) & (logs > _LOG_ZERO / 2)).any(axis=0)
         scale = np.where(low, logs.max(axis=0), 0.0)
-        return np.where(low, np.exp(logs - scale), values), scale
+        return base[n], j, h, np.where(low, np.exp(logs - scale), values), scale
 
 
 def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
@@ -208,16 +222,17 @@ def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
     instances = np.array([fact[N] << (N - j) for j in range(N + 1)], dtype=object)[np.maximum(n, 1)]
     for c, count in zip(cols, tab.alg.counts):
         instances = instances // fact[c] * np.array([count**j for j in range(N + 1)], dtype=object)[c]
-    half = range(N // 2 + 1)
-    strings = np.array([[math.comb(j, i) >> (0 < j == 2 * i) for i in half] for j in range(N + 1)], dtype=object)
+    offset, j, h, (g, c), scale = tab.logical(n, lambda j: j // 2 + 1, [(_E, 0), (_F, 0)])
+    strings = np.array([math.comb(a, b) >> (0 < a == 2 * b) for a, b in zip(j.tolist(), h.tolist())], object)
     values, mults = [], []
     with np.errstate(divide="ignore"):
-        for rows, h in tab.pairs(n // 2 + 1):
-            (g, c), scale = tab.logical([(tab.E, n[rows] - h, h), (tab.F, n[rows] - h, h)])
-            big = np.exp(log_s[rows] + scale + np.log(g)) / 2
-            small = np.exp(log_t[rows] + scale + np.log(c)) / 2
-            values.append(np.stack([big + small, big - small], axis=1).ravel())
-            mults.append((instances[rows] * strings[n[rows], h]).repeat(2))
+        log_g, log_c = np.log(g), np.log(c)
+        for rows, h in _runs(n // 2 + 1):
+            at = offset[rows] + h
+            big = np.exp(log_s[rows] + scale[at] + log_g[at]) / 2
+            small = np.exp(log_t[rows] + scale[at] + log_c[at]) / 2
+            values.append(np.array([big + small, big - small]).T.ravel())
+            mults.append((instances[rows] * strings[at]).repeat(2))
     return SectorSpectrum(np.concatenate(values), np.concatenate(mults), total_dim=1 << cfg.qubits)
 
 
@@ -230,21 +245,29 @@ def negativity(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
     """
     tab = _Table(cfg, p, max_sectors)
     cols, log_k, log_s, log_ts = tab.sectors(shift=_LN2)
-    keep = ((cols[0] > 0) & (log_ts > _LOG_ZERO / 2)).nonzero()[0]  # needs a cross weight
+    keep = (log_ts > _LOG_ZERO / 2).nonzero()[0]  # needs a cross weight; n = 0 has no table entry
     n = cols[0][keep]
-    log_w = (log_k + log_s + log_ts)[keep] + np.log(n / cfg.N)  # K1 = K n/N (block 0 logical) 2^(N-n) T
-    ratio = np.exp(-log_ts[keep])  # S / T
-    terms = [np.zeros(0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, h in tab.pairs(n):
-            rest = n[rows] - 1 - h
-            (gamma, g), scale = tab.logical([(tab.F, h + 1, rest), (tab.E, rest + 1, h)])
-            log_c = tab.lf[n[rows] - 1] - tab.lf[h] - tab.lf[rest]
-            large = log_c > 20.0  # C(n-1, h) below e^20 is rounded to the exact integer
-            neg = np.rint(np.exp(log_c * ~large)) * ((gamma - ratio[rows] * g) / 2)
+    _, j, h, (gamma, g), scale = tab.logical(n, lambda j: j, [(_F, 1), (_E, 0)])
+    log_c = tab.lf[j - 1] - tab.lf[h] - tab.lf[j - 1 - h]
+    large = log_c > 20.0  # C(n-1, h) below e^20 is rounded to the exact integer
+    coef, log_c = np.rint(np.exp(log_c * ~large)), log_c * large
+    terms = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_w = (log_k + log_s + log_ts)[keep] + np.log(n / cfg.N)  # K1 = K n/N (block 0 logical) 2^(N-n) T
+        # sort by n, then S/T (inf past the float range): a kept pair has g S/T < gamma, so S/T <= fl(gamma/g)
+        keys = n.astype(complex)
+        keys.imag = np.exp(-log_ts[keep])
+        order = keys.argsort()
+        keys, log_w = keys[order], log_w[order]
+        bound = j.astype(complex)
+        bound.imag = np.fmax(gamma / g, 0.0)
+        first = n.searchsorted(j)  # n ascends in _compositions order, so each n keeps its positions
+        for at, i in _runs(keys.searchsorted(bound, side="right") - first):
+            row = first[at] + i
+            neg = coef[at] * ((gamma[at] - keys.imag[row] * g[at]) / 2)
             pos = (neg > 0.0).nonzero()[0]
-            terms.append(np.exp((log_w[rows] + scale + log_c * large)[pos]) * neg[pos])
-    return math.fsum(np.concatenate(terms))
+            terms.append(np.exp((log_w[row] + scale[at] + log_c[at])[pos]) * neg[pos])
+    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))
 
 
 def fisher_information(cfg: BlockConfig, p, generator="block-x", max_sectors=DEFAULT_SECTOR_CAP):
@@ -261,7 +284,7 @@ def fisher_information(cfg: BlockConfig, p, generator="block-x", max_sectors=DEF
     tab = _Table(cfg, p, max_sectors)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = _block_x_terms(tab) if generator == "block-x" else _single_z_terms(tab)
-        return math.fsum(np.concatenate([np.zeros(0), *terms]))
+        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))
 
 
 def _block_x_terms(tab):
@@ -269,15 +292,12 @@ def _block_x_terms(tab):
     N, alg, lf = tab.N, tab.alg, tab.lf
     weights = zip(alg.counts[1:], alg.s[1:], alg.t[1:])
     classes = [math.log(c) + 2 * math.log(t) - math.log(s) for c, s, t in weights if t > 0]
-    log_a = float(np.logaddexp.reduce(classes)) if classes else 0.0
-    n = np.arange(0 if classes else N, N + 1)  # with A = 0 only the all-logical sector is left
+    log_a = float(np.logaddexp.reduce(classes)) if classes else 0.0  # A = 0 leaves only n = N
+    _, n, h, (c, g), scale = tab.logical(np.arange(0 if classes else N, N + 1), lambda j: j + 1, [(_F, 0), (_E, 0)])
     log_n = lf[N] - lf[N - n] + (N - n) * (log_a + _LN2) + _LN2  # log C(N, n) n! A^(N-n) 2^(N-n+1)
-    for rows, h in tab.pairs(n + 1):
-        nn = n[rows]
-        (c, g), scale = tab.logical([(tab.F, nn - h, h), (tab.E, nn - h, h)])
-        weight = (nn - 2 * h) ** 2 + (N - nn)
-        log_term = log_n[rows] + scale - lf[h] - lf[nn - h] + 2 * np.log(c) - np.log(g) + np.log(weight)
-        yield np.exp(log_term[(g > 0).nonzero()[0]])
+    weight = (n - 2 * h) ** 2 + (N - n)
+    log_term = log_n + scale - lf[h] - lf[n - h] + 2 * np.log(c) - np.log(g) + np.log(weight)
+    yield np.exp(log_term[(g > 0).nonzero()[0]])
 
 
 def _single_z_terms(tab):
@@ -295,15 +315,15 @@ def _single_z_terms(tab):
     log_w = (log_k + log_s)[keep] + lf[n] + math.log(2 * m * m) + (_LN2 if N == 2 else 0.0)
     ratio = np.exp(log_ts[keep])  # T / S
     sign = np.array([[1.0]] if N == 2 else [[1.0], [-1.0]])
-    for rows, h in tab.pairs(n):
-        nn = n[rows]
-        (g0, g1, c0, c1), scale = tab.logical(
-            [(tab.E, nn - h, h), (tab.E, nn - h - 1, h + 1), (tab.F, nn - h, h), (tab.F, nn - h - 1, h + 1)]
-        )
+    offset, j, h, (g0, g1, c0, c1), scale = tab.logical(n, lambda j: j, [(_E, 0), (_E, 1), (_F, 0), (_F, 1)])
+    g_sum, g_diff, c_sum, c_diff = g0 + g1, g1 - g0, c0 + c1, c1 - c0
+    lf_h, lf_rest, log_rest = lf[h], lf[j - h], np.log(j - h)
+    for rows, h in _runs(n):
+        at = offset[rows] + h
         cross = sign * ratio[rows]
-        den = (g0 + g1 + cross * (c0 + c1)) / 2
-        diff = (g1 - g0 + cross * (c1 - c0)) / 2
-        log_pair = log_w[rows] + scale - lf[h] - lf[nn - h] + np.log(nn - h)
+        den = (g_sum[at] + cross * c_sum[at]) / 2
+        diff = (g_diff[at] + cross * c_diff[at]) / 2
+        log_pair = log_w[rows] + scale[at] - lf_h[at] - lf_rest[at] + log_rest[at]
         yield np.exp((log_pair + 2 * np.log(np.abs(diff)) - np.log(den))[den > 0])
 
 

@@ -1,6 +1,7 @@
 """Ion-trap preparation circuits: global MS gates, Z-layer sign conjugation,
 Walsh-scheduled intra-block phase synthesis, exact phase accounting, and a
-dense state-vector simulator.
+state-vector simulator that applies each MS pulse as one diagonal phase
+between two Walsh-Hadamard transforms.
 
 Gates
 -----
@@ -71,9 +72,12 @@ class Circuit:
     gates: tuple
 
     def __post_init__(self):
-        for g in self.gates:
+        if self.n < 0:
+            raise InputError(f"circuit needs a non-negative qubit count, got {self.n}")
+        for g in dict.fromkeys(self.gates):  # each distinct gate once, in gate order
             if isinstance(g, ZLayer):
-                bad = [q for q in g.qubits if not 0 <= q < self.n]
+                inside = not g.qubits or (min(g.qubits) >= 0 and max(g.qubits) < self.n)
+                bad = [] if inside else [q for q in g.qubits if not 0 <= q < self.n]
             elif isinstance(g, LocalGate):
                 bad = [] if 0 <= g.qubit < self.n else [g.qubit]
             else:
@@ -111,10 +115,10 @@ def local_unitary(name):
         return _LOCAL_GATES[name]
     if name.startswith("P"):
         try:
-            frac = Fraction(name[1:])
-        except ValueError as exc:
+            r = Fraction(name[1:]) % 2  # exact, so huge numerators stay finite
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad phase gate name {name!r}") from exc
-        return np.array([[1, 0], [0, np.exp(1j * math.pi * float(frac))]], dtype=complex)
+        return np.array([[1, 0], [0, np.exp(1j * math.pi * float(r))]], dtype=complex)
     raise InputError(f"unknown local gate {name!r}")
 
 
@@ -216,29 +220,15 @@ def correction_layers(cfg: BlockConfig):
     # intermediate layer: branch rotation for nu = (-i)^n, then phase delta
     rot_a, a_plus, a_minus = _pair_rotation(n)
     delta = (Fraction(N + 1, 2) - n * (a_minus - a_plus)) / n % 2
-    mid = []
-    for q in range(n):
-        for name in rot_a:
-            mid.append(LocalGate(name, q))
-        if delta:
-            mid.append(LocalGate(f"P{delta}", q))
+    mid = [LocalGate(name, q) for q in range(n) for name in rot_a + ((f"P{delta}",) if delta else ())]
     # final layer: undo open Z layers (the toggle masks telescope, so block b < T
     # is left with parity popcount(b & (T-1)) = popcount(b)), rotate block pairs,
     # close logical phase
-    fin = []
-    for b in range(N):
-        if b.bit_count() & 1:
-            for j in range(m):
-                fin.append(LocalGate("Z", b * m + j))
+    fin = [LocalGate("Z", b * m + j) for b in range(N) if b.bit_count() & 1 for j in range(m)]
     rot_c, b_plus, b_minus = _pair_rotation(m)
-    for q in range(n):
-        for name in rot_c:
-            fin.append(LocalGate(name, q))
-    beta = (Fraction(-1, 2) - m * (b_minus - b_plus)) % 2
-    phase = beta / m % 2
-    if phase:
-        for q in range(n):
-            fin.append(LocalGate(f"P{phase}", q))
+    fin += [LocalGate(name, q) for q in range(n) for name in rot_c]
+    phase = (Fraction(-1, 2) - m * (b_minus - b_plus)) % 2 / m % 2
+    fin += [LocalGate(f"P{phase}", q) for q in range(n) if phase]
     return tuple(mid), tuple(fin)
 
 
@@ -254,8 +244,26 @@ def synthesize_preparation(cfg: BlockConfig):
     return Circuit(n=cfg.qubits, gates=gates)
 
 
+def _hadamard_all(psi, n):
+    """psi <- 2^(n/2) H^n psi in place: one unnormalised butterfly per qubit."""
+    for k in range(n):
+        t = psi.reshape(2**k, 2, -1)
+        a, b = t[:, 0], t[:, 1]
+        a += b
+        b *= -2
+        b += a  # a - b
+
+
 def simulate(circuit: Circuit, state=None):
-    """Apply the circuit to a state vector (default |0...0>), exactly, gate by gate."""
+    """Apply the circuit to a state vector (default |0...0>), gate by gate.
+
+    Each distinct MS gate and Z layer is one phase vector on the basis index
+    x, built once.  ZLayer(G) is i^(|G| - 2 w_G(x)), w_G the ones of x on G
+    counted with multiplicity.  As sum_{k<l} X_k X_l = ((sum_k X_k)^2 - n)/2,
+    MS(xi) is H^n, then exp(i pi xi ((n - 2w)^2 - n)/2) on the popcount w of
+    x with each angle reduced mod 2 exactly, then H^n.  Local gates are
+    contracted on their qubit.
+    """
     linalg.check_qubit_budget(circuit.n, what="circuit simulation")
     n = circuit.n
     if state is None:
@@ -265,26 +273,26 @@ def simulate(circuit: Circuit, state=None):
         psi = np.asarray(state, dtype=complex).copy()
         if psi.shape != (2**n,):
             raise InputError(f"state has dimension {psi.shape}, circuit needs {2**n}")
-    idx = np.arange(2**n)
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row q: qubit q of x
+
+    def phases(g):
+        if isinstance(g, ZLayer):
+            w_g = np.bincount(g.qubits, minlength=n) @ bits
+            return np.array([1, 1j, -1, -1j])[(len(g.qubits) - 2 * w_g) % 4]
+        angles = [float(g.xi * (((n - 2 * w) ** 2 - n) // 2) % 2) for w in range(n + 1)]
+        return (np.exp(1j * math.pi * np.array(angles)) / 2**n)[bits.sum(axis=0)]
+
+    diagonal = {g: phases(g) for g in dict.fromkeys(circuit.gates) if not isinstance(g, LocalGate)}
     for g in circuit.gates:
-        if isinstance(g, MSGate):
-            xi = float(g.xi) * math.pi
-            c, s = math.cos(xi), math.sin(xi)
-            for k in range(n):
-                for l in range(k + 1, n):
-                    flip = (1 << (n - 1 - k)) | (1 << (n - 1 - l))
-                    psi = c * psi + 1j * s * psi[idx ^ flip]
-        elif isinstance(g, ZLayer):
-            phase = np.ones(2**n, dtype=complex)
-            for q in g.qubits:
-                bit = (idx >> (n - 1 - q)) & 1
-                phase *= np.where(bit == 0, 1j, -1j)
-            psi = phase * psi
-        else:
-            u = local_unitary(g.name)
-            t = psi.reshape((2,) * n)
-            t = np.tensordot(u, t, axes=([1], [g.qubit]))
+        if isinstance(g, LocalGate):
+            t = np.tensordot(local_unitary(g.name), psi.reshape((2,) * n), axes=([1], [g.qubit]))
             psi = np.moveaxis(t, 0, g.qubit).reshape(-1)
+        elif isinstance(g, ZLayer):
+            psi *= diagonal[g]
+        else:
+            _hadamard_all(psi, n)
+            psi *= diagonal[g]
+            _hadamard_all(psi, n)
     return psi
 
 
@@ -305,48 +313,49 @@ def gate_counts(circuit: Circuit):
 
 
 def export_circuit(circuit: Circuit):
-    """Line-oriented text form; parse_circuit inverts it bit-exactly."""
-    lines = [f"QUBITS {circuit.n}"]
-    for g in circuit.gates:
+    """Line-oriented text form, each distinct gate formatted once; parse_circuit inverts it bit-exactly."""
+    lines = dict.fromkeys(circuit.gates)
+    for g in lines:
         if isinstance(g, MSGate):
-            lines.append(f"MS {g.xi}")
+            lines[g] = f"MS {g.xi}"
         elif isinstance(g, ZLayer):
-            lines.append("Z " + " ".join(str(q) for q in g.qubits))
+            lines[g] = "Z " + " ".join(map(str, g.qubits))
         else:
-            lines.append(f"L {g.name} {g.qubit}")
-    return "\n".join(lines) + "\n"
+            lines[g] = f"L {g.name} {g.qubit}"
+    return "\n".join([f"QUBITS {circuit.n}", *map(lines.__getitem__, circuit.gates)]) + "\n"
 
 
 def parse_circuit(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Inverse of export_circuit; each distinct line is parsed once and its gate object shared."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("QUBITS"):
         raise InputError("circuit text must start with a QUBITS header")
     try:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
-    gates, names = [], set()
+    gates, names = dict.fromkeys(lines[1:]), set()
     try:
-        for ln in lines[1:]:
+        for ln in gates:  # first occurrences in line order, so the first bad line is reported
             parts = ln.split()
             kind = parts[0]
             if kind == "MS":
                 if len(parts) != 2:
                     raise InputError(f"bad MS line {ln!r}")
-                gates.append(MSGate(Fraction(parts[1])))
+                gates[ln] = MSGate(Fraction(parts[1]))
             elif kind == "Z":
-                gates.append(ZLayer(tuple(map(int, parts[1:]))))
+                gates[ln] = ZLayer(tuple(map(int, parts[1:])))
             elif kind == "L":
                 if len(parts) != 3:
                     raise InputError(f"bad L line {ln!r}")
                 if parts[1] not in names:
                     local_unitary(parts[1])  # validate each distinct name once
                     names.add(parts[1])
-                gates.append(LocalGate(parts[1], int(parts[2])))
+                gates[ln] = LocalGate(parts[1], int(parts[2]))
             else:
                 raise InputError(f"unknown gate line {ln!r}")
     except InputError:
         raise
     except (ValueError, ZeroDivisionError) as exc:  # int() or Fraction() of a malformed number
         raise InputError(f"bad number in line {ln!r}") from exc
-    return Circuit(n=n, gates=tuple(gates))
+    return Circuit(n=n, gates=tuple(map(gates.__getitem__, lines[1:])))

@@ -58,6 +58,48 @@ def ms_z_circuits(draw):
     return Circuit(n, tuple(draw(st.lists(st.one_of(ms, z), max_size=12))))
 
 
+def reference_simulate(circuit, state):
+    """Gate by gate: an MS pulse as its n(n-1)/2 pair rotations, a Z layer qubit by qubit."""
+    n = circuit.n
+    psi = np.asarray(state, dtype=complex).copy()
+    idx = np.arange(2**n)
+    for g in circuit.gates:
+        if isinstance(g, MSGate):
+            xi = float(g.xi % 2) * np.pi
+            c, s = np.cos(xi), np.sin(xi)
+            for k in range(n):
+                for l in range(k + 1, n):
+                    flip = (1 << (n - 1 - k)) | (1 << (n - 1 - l))
+                    psi = c * psi + 1j * s * psi[idx ^ flip]
+        elif isinstance(g, ZLayer):
+            phase = np.ones(2**n, dtype=complex)
+            for q in g.qubits:
+                bit = (idx >> (n - 1 - q)) & 1
+                phase *= np.where(bit == 0, 1j, -1j)
+            psi = phase * psi
+        else:
+            t = np.tensordot(local_unitary(g.name), psi.reshape((2,) * n), axes=([1], [g.qubit]))
+            psi = np.moveaxis(t, 0, g.qubit).reshape(-1)
+    return psi
+
+
+def random_circuit(rng, n):
+    """MS, Z and local gates on n qubits: MS numerators up to 2^93, Z layers
+    that may be empty or repeat qubits, named and parametric local gates."""
+    gates = []
+    for _ in range(int(rng.integers(1, 13))):
+        kind, den = int(rng.integers(3)), int(rng.integers(1, 65))
+        if kind == 0:
+            num = int(rng.integers(-4 * den, 4 * den + 1)) + (int(rng.integers(-3, 4)) << 90)
+            gates.append(MSGate(Fraction(num, den)))
+        elif kind == 1:
+            gates.append(ZLayer(tuple(int(q) for q in rng.integers(0, n, int(rng.integers(0, 2 * n + 1))))))
+        else:
+            names = ["I", "X", "Y", "Z", "H", "S", "SDG", f"P{Fraction(int(rng.integers(-9, 10)), den)}"]
+            gates.append(LocalGate(names[int(rng.integers(len(names)))], int(rng.integers(n))))
+    return Circuit(n, tuple(gates))
+
+
 class TestPhaseMatrix:
     def test_single_ms(self):
         xi = phase_matrix(Circuit(3, (MSGate(Fraction(1, 8)),)))
@@ -267,6 +309,28 @@ class TestSimulate:
                 assert abs(ov) == pytest.approx(1.0, abs=1e-10)
             assert np.ptp(np.angle(np.array(overlaps) / overlaps[0])) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_simulation(self, n):
+        rng = np.random.default_rng(100 + n)
+        zero = np.zeros(2**n, dtype=complex)
+        zero[0] = 1.0
+        for _ in range(8):
+            start = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            start /= np.linalg.norm(start)
+            circuit = random_circuit(rng, n)
+            for state in (zero, start):
+                want = reference_simulate(circuit, state)
+                np.testing.assert_allclose(simulate(circuit, state), want, rtol=0, atol=1e-12)
+
+    def test_repeated_zlayer_qubits_and_huge_angles(self):
+        start = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        # Z twice on one qubit is -1; MS angles equal mod 2 act alike
+        twice = simulate(Circuit(3, (ZLayer((1, 0, 1)),)), start)
+        np.testing.assert_allclose(twice, -simulate(Circuit(3, (ZLayer((0,)),)), start), atol=1e-15)
+        huge = simulate(Circuit(3, (MSGate(Fraction((1 << 200) + 1, 8)),)), start)
+        np.testing.assert_allclose(huge, simulate(Circuit(3, (MSGate(Fraction(1, 8)),)), start), atol=1e-14)
+        np.testing.assert_allclose(simulate(parse_circuit("QUBITS 3\nMS 1e400\n"), start), start, atol=1e-14)
+
 
 class TestPreparation:
     @pytest.mark.parametrize(
@@ -328,6 +392,8 @@ class TestTextFormat:
             parse_circuit("MS 1/8\n")
         with pytest.raises(InputError):
             parse_circuit("QUBITS 2\nL NOPE 0\n")
+        with pytest.raises(InputError):
+            parse_circuit("QUBITS -1\n")
 
     @pytest.mark.parametrize(
         "text", ["QUBITS 2\nZ 1 x\n", "QUBITS 2\nL X q\n", "QUBITS 2\nMS abc\n", "QUBITS 2\nMS 1/0\n"]
@@ -335,6 +401,33 @@ class TestTextFormat:
     def test_parse_rejects_malformed_numbers(self, text):
         with pytest.raises(InputError, match="bad number"):
             parse_circuit(text)
+
+    def test_huge_and_zero_denominator_phases(self):
+        assert parse_circuit("QUBITS 1\nL P1e400 0\n").gates == (LocalGate("P1e400", 0),)
+        np.testing.assert_array_equal(local_unitary("P1e400"), np.eye(2))
+        with pytest.raises(InputError, match="bad phase gate name"):
+            local_unitary("P1/0")
+        with pytest.raises(InputError, match="bad phase gate name"):
+            parse_circuit("QUBITS 1\nL P1/0 0\n")
+
+    def test_repeated_lines_parse_like_single_lines(self):
+        body = ["MS 1/8", "Z 0 2", "L H 1", "Z 0 2", "MS 1/8", "L P3/8 2", "L H 1", "MS -5/3", "Z 1 1", "L P3/8 0"] * 30
+        text = "QUBITS 3\n" + "\n".join(body) + "\n"
+        parsed = parse_circuit(text)
+        assert parsed.gates == tuple(parse_circuit(f"QUBITS 3\n{ln}\n").gates[0] for ln in body)
+        assert export_circuit(parsed) == text
+
+    def test_malformed_line_after_repeats(self):
+        text = "QUBITS 2\n" + "MS 1/8\nZ 0 1\nL H 0\n" * 500 + "Z 0 x\nMS 1/8\nZ 0 x\n"
+        with pytest.raises(InputError, match=r"bad number in line 'Z 0 x'"):
+            parse_circuit(text)
+
+    def test_first_bad_gate_in_gate_order_is_reported(self):
+        good, first, second = ZLayer((0, 1)), ZLayer((0, 7)), LocalGate("X", 9)
+        with pytest.raises(InputError, match=r"ZLayer\(qubits=\(0, 7\)\) addresses qubits \[7\] outside 0\.\.1"):
+            Circuit(2, (good,) * 50 + (first, second, first))
+        with pytest.raises(InputError, match=r"LocalGate\(name='X', qubit=9\) addresses qubits \[9\]"):
+            Circuit(2, (good, second, good, first))
 
     def test_gate_names_resolve(self):
         for name in ("I", "X", "Y", "Z", "H", "S", "SDG", "P1/4", "P-3/8"):

@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .errors import ConsistencyError, InputError, ResourceLimitError
-from .channels import TransferCoefficients, transfer_coefficients
+from .channels import transfer_coefficients
 from .states import BlockConfig, cghz, ghz, random_orthogonal_pair
 from .analytic import (
     FitResult,
@@ -36,7 +36,6 @@ __all__ = [
     "InputError",
     "ResourceLimitError",
     "ThresholdResult",
-    "TransferCoefficients",
     "cghz",
     "cghz_spectrum",
     "coherence_bound",

@@ -56,8 +56,6 @@ def coherence_norm(cfg: BlockConfig, p):
     Evaluated as exp(N log1p(-deficit)) so nearly-frozen values stay exact
     for N far beyond 1e6.
     """
-    if cfg.m < 1:
-        raise InputError(f"block size must be >= 1, got {cfg.m}")
     deficit = _block_deficit(cfg.m, p)
     if deficit >= 1.0:
         return 0.0

@@ -14,7 +14,6 @@ command line converts a rate/time pair (kappa, t) to p = exp(-kappa t).
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +29,10 @@ def survival(p):
     return p
 
 
-class TransferCoefficients(NamedTuple):
-    """Scalar single-qubit channel action: populations mix (a, b), coherences scale by offdiag."""
-
-    a: float
-    b: float
-    offdiag: float
-
-
 def transfer_coefficients(p):
+    """(a, b, offdiag): populations mix with weights (a, b), coherences scale by offdiag."""
     p = survival(p)
-    return TransferCoefficients((1 + p) / 2, (1 - p) / 2, p)
+    return (1 + p) / 2, (1 - p) / 2, p
 
 
 def depolarize(mat, qubit, p):

@@ -1,7 +1,7 @@
 """Ion-trap preparation circuits: global MS gates, Z-layer sign conjugation,
 Walsh-scheduled intra-block phase synthesis, exact phase accounting, and a
-state-vector simulator that applies each MS pulse as one diagonal phase
-between two Walsh-Hadamard transforms.
+state-vector simulator that holds each run of MS gates and Z layers in the
+X basis, where an MS pulse is a phase and a Z layer a bit flip.
 
 Gates
 -----
@@ -244,25 +244,16 @@ def synthesize_preparation(cfg: BlockConfig):
     return Circuit(n=cfg.qubits, gates=gates)
 
 
-def _hadamard_all(psi, n):
-    """psi <- 2^(n/2) H^n psi in place: one unnormalised butterfly per qubit."""
-    for k in range(n):
-        t = psi.reshape(2**k, 2, -1)
-        a, b = t[:, 0], t[:, 1]
-        a += b
-        b *= -2
-        b += a  # a - b
-
-
 def simulate(circuit: Circuit, state=None):
     """Apply the circuit to a state vector (default |0...0>), gate by gate.
 
-    Each distinct MS gate and Z layer is one phase vector on the basis index
-    x, built once.  ZLayer(G) is i^(|G| - 2 w_G(x)), w_G the ones of x on G
-    counted with multiplicity.  As sum_{k<l} X_k X_l = ((sum_k X_k)^2 - n)/2,
-    MS(xi) is H^n, then exp(i pi xi ((n - 2w)^2 - n)/2) on the popcount w of
-    x with each angle reduced mod 2 exactly, then H^n.  Local gates are
-    contracted on their qubit.
+    Local gates are contracted on their qubit.  A run of consecutive MS gates
+    and Z layers is applied in the X basis: H on every qubit where the run
+    starts and again where it ends.  There ZLayer(G) is i^|G| (G counted with
+    multiplicity) times the flip x -> x ^ mask(G), the XOR of the qubits' bits,
+    and, as sum_{k<l} X_k X_l = ((sum_k X_k)^2 - n)/2, MS(xi) is the phase
+    exp(i pi xi ((n - 2w)^2 - n)/2) on the popcount w of x, each angle reduced
+    mod 2 exactly.
     """
     linalg.check_qubit_budget(circuit.n, what="circuit simulation")
     n = circuit.n
@@ -273,26 +264,27 @@ def simulate(circuit: Circuit, state=None):
         psi = np.asarray(state, dtype=complex).copy()
         if psi.shape != (2**n,):
             raise InputError(f"state has dimension {psi.shape}, circuit needs {2**n}")
-    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1  # row q: qubit q of x
-
-    def phases(g):
-        if isinstance(g, ZLayer):
-            w_g = np.bincount(g.qubits, minlength=n) @ bits
-            return np.array([1, 1j, -1, -1j])[(len(g.qubits) - 2 * w_g) % 4]
-        angles = [float(g.xi * (((n - 2 * w) ** 2 - n) // 2) % 2) for w in range(n + 1)]
-        return (np.exp(1j * math.pi * np.array(angles)) / 2**n)[bits.sum(axis=0)]
-
-    diagonal = {g: phases(g) for g in dict.fromkeys(circuit.gates) if not isinstance(g, LocalGate)}
-    for g in circuit.gates:
+    index = np.arange(2**n)
+    weight = sum(((index >> q) & 1 for q in range(n)), np.zeros_like(index))
+    in_run = False
+    for g in circuit.gates + (None,):  # None ends a trailing run
+        steps = []
+        if in_run != isinstance(g, (MSGate, ZLayer)):  # a run starts or ends
+            in_run = not in_run
+            steps = [("H", q) for q in range(n)]
         if isinstance(g, LocalGate):
-            t = np.tensordot(local_unitary(g.name), psi.reshape((2,) * n), axes=([1], [g.qubit]))
-            psi = np.moveaxis(t, 0, g.qubit).reshape(-1)
-        elif isinstance(g, ZLayer):
-            psi *= diagonal[g]
-        else:
-            _hadamard_all(psi, n)
-            psi *= diagonal[g]
-            _hadamard_all(psi, n)
+            steps.append((g.name, g.qubit))
+        for name, q in steps:
+            t = np.tensordot(local_unitary(name), psi.reshape((2,) * n), axes=([1], [q]))
+            psi = np.moveaxis(t, 0, q).reshape(-1)
+        if isinstance(g, ZLayer):
+            mask = 0
+            for q in g.qubits:
+                mask ^= 1 << (n - 1 - q)
+            psi = (1, 1j, -1, -1j)[len(g.qubits) % 4] * psi[index ^ mask]
+        elif isinstance(g, MSGate):
+            angles = [float(g.xi * (((n - 2 * w) ** 2 - n) // 2) % 2) for w in range(n + 1)]
+            psi *= np.exp(1j * math.pi * np.array(angles))[weight]
     return psi
 
 
@@ -331,9 +323,12 @@ def parse_circuit(text):
     if not lines or not lines[0].startswith("QUBITS"):
         raise InputError("circuit text must start with a QUBITS header")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        kind, count = lines[0].split()  # exactly two tokens
+        n = int(count)
+    except ValueError as exc:
         raise InputError(f"bad header {lines[0]!r}") from exc
+    if kind != "QUBITS":
+        raise InputError(f"bad header {lines[0]!r}")
     gates, names = dict.fromkeys(lines[1:]), set()
     try:
         for ln in gates:  # first occurrences in line order, so the first bad line is reported

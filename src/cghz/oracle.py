@@ -27,10 +27,10 @@ def decohered_cghz(cfg: BlockConfig, p):
     x, and the channel on all qubits is the channel on one block, N times.  So
     the result is 2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k}, where the four
     2^m x 2^m matrices B_ab = E^(x)m(|a_L><b_L|) come from one
-    `depolarize_all` call (one block needs B_00 only: the state is then
-    |0_L>).  The sum is assembled one block at a time: the partial sums S_ab
-    over the strings of a prefix whose ket and bra parities are (a, b) grow
-    as S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
+    `depolarize_all` call (one block is B_00: the state is then |0_L>).
+    The sum is assembled one block at a time: the partial sums S_ab over
+    the strings of a prefix whose ket and bra parities are (a, b) grow as
+    S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
     leading factor, in the slots (i, j) where some B_cd is exactly nonzero.
     Every term is non-negative, so the exact zeros are those of the literal
     E^(x)q(|psi><psi|).
@@ -39,14 +39,13 @@ def decohered_cghz(cfg: BlockConfig, p):
     dim_b = 2**cfg.m
     ends = (0, dim_b - 1)  # |0_L> = |0...0> and |1_L> = |1...1>
     # a prefix carries both parities of ket and bra, the whole string only (0, 0)
-    n = 1 if cfg.N == 1 else 2
-    logical = np.zeros((n, n, dim_b, dim_b))
-    for a, b in product(range(n), repeat=2):
+    logical = np.zeros((2, 2, dim_b, dim_b))
+    for a, b in product((0, 1), repeat=2):
         logical[a, b, ends[a], ends[b]] = 1.0
     blocks = depolarize_all(logical, p)
     # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
     rows, cols = np.nonzero(blocks.any(axis=(0, 1)))
-    coeffs = blocks[:, :, rows, cols].reshape(n * n, -1).T.tolist()
+    coeffs = blocks[:, :, rows, cols].reshape(4, -1).T.tolist()
     slots = [
         (i, j, [(ab, c) for ab, c in enumerate(cs) if c]) for i, j, cs in zip(rows.tolist(), cols.tolist(), coeffs)
     ]
@@ -185,22 +184,17 @@ def fisher(cfg: BlockConfig, p, generator="block-x"):
     return fisher_dense(rho, gen)
 
 
-def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
+def distill_protocol_outcomes(cfg: BlockConfig, p):
     """(outcome, probability, corrected fidelity) for every measurement record, from one projected state.
 
-    Projects every block onto the logical span, measures every block except
-    the kept pair in the logical basis, applies the parity correction
-    (a logical bit flip on the first kept block when the record has odd
-    parity), and takes the overlap with (|0_L 0_L> + |1_L 1_L>)/sqrt2.
+    Projects every block onto the logical span, measures blocks 2..N-1 in
+    the logical basis, applies the parity correction (a logical bit flip on
+    block 0 when the record has odd parity), and takes the overlap of blocks
+    0 and 1 with (|0_L 0_L> + |1_L 1_L>)/sqrt2.
     """
     if cfg.N < 2:
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
-    i, j = kept_pair
-    if not (0 <= i < cfg.N and 0 <= j < cfg.N and i != j):
-        raise InputError(f"kept pair {kept_pair} invalid for N={cfg.N}")
-    kept = sorted((i, j))
-    measured = [b for b in range(cfg.N) if b not in kept]
 
     # projecting every block onto span{|0_L>, |1_L>} keeps the 2^N x 2^N
     # submatrix at the logical indices, where a block reads 0...0 or 1...1
@@ -210,14 +204,12 @@ def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
     rho = decohered_cghz(cfg, p)[np.ix_(index, index)]
     weight = float(np.real(np.trace(rho)))
 
-    # reorder blocks to (kept..., measured...); the measured logical states
+    # the kept blocks 0 and 1 lead the index; the measured logical states
     # are basis vectors, so conditioning on an outcome record is direct indexing
-    order = kept + measured
-    axes = order + [cfg.N + b for b in order]
     dm = 2 ** (cfg.N - 2)
-    t = rho.reshape((2,) * (2 * cfg.N)).transpose(axes).reshape(4, dm, 4, dm)
+    t = rho.reshape(4, dm, 4, dm)
     # by record parity: kept-pair indices of (|0_L 0_L>, |1_L 1_L>), and of the
-    # same pair after the logical bit flip on the first kept block
+    # same pair after the logical bit flip on block 0
     bell = ([0, 3], [2, 1])
     records = []
     for idx, outcome in enumerate(product((0, 1), repeat=cfg.N - 2)):
@@ -230,9 +222,9 @@ def distill_protocol_outcomes(cfg: BlockConfig, p, kept_pair=(0, 1)):
     return records
 
 
-def distill_protocol_average(cfg: BlockConfig, p, kept_pair=(0, 1)):
+def distill_protocol_average(cfg: BlockConfig, p):
     """Outcome-probability-weighted fidelity; equals the closed-form fidelity."""
-    records = distill_protocol_outcomes(cfg, p, kept_pair)
+    records = distill_protocol_outcomes(cfg, p)
     live = [(prob, fid) for _, prob, fid in records if prob > 1e-14]
     total = math.fsum(prob for prob, _ in live)
     return math.fsum(prob * fid for prob, fid in live) / total

@@ -123,18 +123,18 @@ def test_rotational_invariance():
     [(1.0, (1.0, 0.0, 1.0)), (0.0, (0.5, 0.5, 0.0)), (0.9, (0.95, 0.05, 0.9))],
 )
 def test_transfer_coefficients(p, expected):
-    tc = transfer_coefficients(p)
-    assert tc == pytest.approx(expected)
-    assert tc.a + tc.b == pytest.approx(1.0)
-    assert tc.offdiag == pytest.approx(tc.a - tc.b)
+    a, b, offdiag = transfer_coefficients(p)
+    assert (a, b, offdiag) == pytest.approx(expected)
+    assert a + b == pytest.approx(1.0)
+    assert offdiag == pytest.approx(a - b)
 
 
 def test_transfer_matches_dense_channel():
-    tc = transfer_coefficients(0.7)
+    a, b, offdiag = transfer_coefficients(0.7)
     pop = depolarize(np.outer(KET0, KET0.conj()), 0, 0.7)
-    np.testing.assert_allclose(np.diag(pop).real, [tc.a, tc.b], atol=1e-14)
+    np.testing.assert_allclose(np.diag(pop).real, [a, b], atol=1e-14)
     coh = depolarize(np.outer(KET0, KET1.conj()), 0, 0.7)
-    assert coh[0, 1] == pytest.approx(tc.offdiag)
+    assert coh[0, 1] == pytest.approx(offdiag)
 
 
 @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])

@@ -238,6 +238,9 @@ class TestSimulate:
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v /= np.linalg.norm(v)
         np.testing.assert_array_equal(simulate(Circuit(3, ()), v), v)
+        # local gates alone never leave the computational basis
+        local = Circuit(3, (LocalGate("H", 0), LocalGate("P1/3", 2), LocalGate("SDG", 1), LocalGate("Y", 0)))
+        np.testing.assert_array_equal(simulate(local, v), reference_simulate(local, v))
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -309,7 +312,7 @@ class TestSimulate:
                 assert abs(ov) == pytest.approx(1.0, abs=1e-10)
             assert np.ptp(np.angle(np.array(overlaps) / overlaps[0])) < 1e-10
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_reference_simulation(self, n):
         rng = np.random.default_rng(100 + n)
         zero = np.zeros(2**n, dtype=complex)
@@ -321,6 +324,12 @@ class TestSimulate:
             for state in (zero, start):
                 want = reference_simulate(circuit, state)
                 np.testing.assert_allclose(simulate(circuit, state), want, rtol=0, atol=1e-12)
+        # run boundaries: a leading Z layer, a local gate between two MS runs,
+        # a qubit listed three times, and a trailing Z layer
+        fixed = Circuit(n, (ZLayer((0,)), MSGate(Fraction(1, 8)), LocalGate("H", n - 1), MSGate(Fraction(3, 7)),
+                            ZLayer((n - 1,) * 3), MSGate(Fraction(-1, 5)), ZLayer((0, n - 1))))
+        for state in (zero, start):
+            np.testing.assert_allclose(simulate(fixed, state), reference_simulate(fixed, state), rtol=0, atol=1e-12)
 
     def test_repeated_zlayer_qubits_and_huge_angles(self):
         start = np.full(8, 1 / np.sqrt(8), dtype=complex)
@@ -394,6 +403,10 @@ class TestTextFormat:
             parse_circuit("QUBITS 2\nL NOPE 0\n")
         with pytest.raises(InputError):
             parse_circuit("QUBITS -1\n")
+        with pytest.raises(InputError, match="bad header"):
+            parse_circuit("QUBITSX 3\nMS 1/4\n")
+        with pytest.raises(InputError, match="bad header"):
+            parse_circuit("QUBITS 3 junk\nMS 1/4\n")
 
     @pytest.mark.parametrize(
         "text", ["QUBITS 2\nZ 1 x\n", "QUBITS 2\nL X q\n", "QUBITS 2\nMS abc\n", "QUBITS 2\nMS 1/0\n"]

@@ -189,18 +189,8 @@ class TestDistillProtocol:
         fids = [fid for _, _, fid in records]
         assert max(fids) - min(fids) < 1e-10
 
-    def test_kept_pair_choice_is_irrelevant(self):
-        cfg = BlockConfig(4, 2)
-        base = oracle.distill_protocol_average(cfg, 0.8, kept_pair=(0, 1))
-        for pair in [(0, 3), (1, 2), (2, 3)]:
-            assert oracle.distill_protocol_average(cfg, 0.8, kept_pair=pair) == pytest.approx(
-                base, abs=1e-10
-            )
-
-    @pytest.mark.parametrize(
-        "shape, kept_pair", [((2, 1), (0, 1)), ((3, 2), (2, 0)), ((4, 2), (1, 3)), ((3, 3), (0, 2))]
-    )
-    def test_records_match_the_literal_projection(self, shape, kept_pair):
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 2), (3, 3)])
+    def test_records_match_the_literal_projection(self, shape):
         # reference: mask the full state to the logical span of every block,
         # then condition on each record by summing over the measured blocks
         cfg, p = BlockConfig(*shape), 0.8
@@ -210,15 +200,14 @@ class TestDistillProtocol:
         mask = linalg.kron_all([keep[None, :]] * cfg.N).ravel()
         rho = literal_decohered_cghz(cfg, p) * np.outer(mask, mask)
         t = rho.reshape((dim_b,) * (2 * cfg.N))
-        measured = [b for b in range(cfg.N) if b not in kept_pair]
-        records = oracle.distill_protocol_outcomes(cfg, p, kept_pair)
+        records = oracle.distill_protocol_outcomes(cfg, p)
         assert [outcome for outcome, _, _ in records] == list(product((0, 1), repeat=cfg.N - 2))
         for outcome, prob, fid in records:
             index = [slice(None)] * (2 * cfg.N)
-            for b, bit in zip(measured, outcome):
+            for b, bit in enumerate(outcome, start=2):
                 index[b] = index[cfg.N + b] = dim_b - 1 if bit else 0
-            # the kept pair in ascending block order; on odd parity the first kept
-            # block is flipped, so the Bell pair reads (|1_L 0_L>, |0_L 1_L>)
+            # blocks 0 and 1 are kept; on odd parity block 0 is flipped, so the
+            # Bell pair reads (|1_L 0_L>, |0_L 1_L>)
             cond = t[tuple(index)].reshape(dim_b**2, dim_b**2)
             bell = [(dim_b - 1) * dim_b, dim_b - 1] if sum(outcome) % 2 else [0, dim_b**2 - 1]
             assert prob == pytest.approx(np.trace(cond) / np.trace(rho), rel=1e-13)

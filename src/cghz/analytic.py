@@ -194,4 +194,4 @@ def fit_exponential_tail(points, window=None):
     slope = sxy / sxx if sxx > 0 else 0.0
     intercept = mean_y - slope * mean_x
     rms = math.sqrt(sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / n_pts)
-    return FitResult(amplitude=math.exp(intercept), rate=-slope, residual=rms, window=(lo, hi))
+    return FitResult(amplitude=math.exp(intercept), rate=0.0 - slope, residual=rms, window=(lo, hi))  # never -0.0

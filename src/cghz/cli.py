@@ -206,20 +206,19 @@ def _parse_list(flag, text, convert=int, sep=","):
 
 
 def _parse_n_values(args):
-    if args.n_list:
+    # the parser's group gives exactly one axis; a bound pair that holds no N is malformed too
+    if args.n_list is not None:
         return _parse_list("--n-list", args.n_list)
-    if args.n_pow2:
+    if args.n_pow2 is not None:
         bounds = _parse_list("--n-pow2", args.n_pow2, sep=":")
-        if len(bounds) != 2:
+        if len(bounds) != 2 or bounds[1] < bounds[0]:
             raise _UsageError(f"bad --n-pow2 {args.n_pow2!r}")
         return [2**k for k in range(bounds[0], bounds[1] + 1)]
-    if args.n_range:
-        parts = _parse_list("--n-range", args.n_range, sep=":")
-        if len(parts) not in (2, 3) or parts[2:] == [0]:
-            raise _UsageError(f"bad --n-range {args.n_range!r}")
-        lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
-        return list(range(lo, hi + 1, step))
-    raise _UsageError("give one of --n-range, --n-list, --n-pow2")
+    parts = _parse_list("--n-range", args.n_range, sep=":")
+    if len(parts) not in (2, 3) or parts[1] < parts[0] or min(parts[2:], default=1) < 1:
+        raise _UsageError(f"bad --n-range {args.n_range!r}")
+    lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+    return list(range(lo, hi + 1, step))
 
 
 def _cmd_sweep(args):
@@ -374,11 +373,12 @@ def build_parser():
     ev.add_argument("--threshold-cap", type=int, default=analytic.DEFAULT_THRESHOLD_CAP)
     ev.set_defaults(func=_cmd_eval)
 
-    sw = sub.add_parser("sweep", help="parameter sweep to CSV")
+    sw = sub.add_parser("sweep", help="parameter sweep to CSV", description="Give one N axis, of one N or more.")
     sw.add_argument("quantity", choices=QUANTITIES)
-    sw.add_argument("--n-range", default=None, help="lo:hi[:step]")
-    sw.add_argument("--n-list", default=None, help="comma-separated N values")
-    sw.add_argument("--n-pow2", default=None, help="lo:hi exponent range, N = 2^k")
+    axis = sw.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--n-range", default=None, help="lo:hi[:step], hi included, step >= 1")
+    axis.add_argument("--n-list", default=None, help="comma-separated N values")
+    axis.add_argument("--n-pow2", default=None, help="lo:hi exponent range, N = 2^k, hi included")
     sw.add_argument("--m", dest="m_list", required=True, help="comma list, or 'log2' for m = ceil(log2 N)")
     sw.add_argument("--p", dest="p_list", required=True, help="comma-separated p values")
     sw.add_argument("--engine", default="auto", choices=("auto", "analytic", "spectral", "oracle", "all"))

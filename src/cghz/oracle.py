@@ -28,6 +28,21 @@ def decohered_cghz(cfg: BlockConfig, p):
     the result is 2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k}, where the four
     2^m x 2^m matrices B_ab = E^(x)m(|a_L><b_L|) come from one
     `depolarize_all` call (one block is B_00: the state is then |0_L>).
+    """
+    linalg.check_qubit_budget(cfg.qubits, what="decohered state")
+    return _even_string_sum(_logical_blocks(cfg.m, p), cfg.N)
+
+
+def _logical_blocks(m, p):
+    """The (2, 2, 2^m, 2^m) stack B_ab = E^(x)m(|a_L><b_L|), with |0_L> = |0...0> and |1_L> = |1...1>."""
+    logical = np.zeros((2, 2, 2**m, 2**m))
+    logical[(0, 0, 1, 1), (0, 1, 0, 1), (0, 0, -1, -1), (0, -1, 0, -1)] = 1.0
+    return depolarize_all(logical, p)
+
+
+def _even_string_sum(blocks, N):
+    """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks for a (2, 2, d, d) stack B.
+
     The sum is assembled one block at a time: the partial sums S_ab over
     the strings of a prefix whose ket and bra parities are (a, b) grow as
     S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
@@ -35,28 +50,22 @@ def decohered_cghz(cfg: BlockConfig, p):
     Every term is non-negative, so the exact zeros are those of the literal
     E^(x)q(|psi><psi|).
     """
-    linalg.check_qubit_budget(cfg.qubits, what="decohered state")
-    dim_b = 2**cfg.m
-    ends = (0, dim_b - 1)  # |0_L> = |0...0> and |1_L> = |1...1>
-    # a prefix carries both parities of ket and bra, the whole string only (0, 0)
-    logical = np.zeros((2, 2, dim_b, dim_b))
-    for a, b in product((0, 1), repeat=2):
-        logical[a, b, ends[a], ends[b]] = 1.0
-    blocks = depolarize_all(logical, p)
+    dim_b = blocks.shape[-1]
     # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
     rows, cols = np.nonzero(blocks.any(axis=(0, 1)))
     coeffs = blocks[:, :, rows, cols].reshape(4, -1).T.tolist()
     slots = [
         (i, j, [(ab, c) for ab, c in enumerate(cs) if c]) for i, j, cs in zip(rows.tolist(), cols.tolist(), coeffs)
     ]
+    # a prefix carries both parities of ket and bra, the whole string only (0, 0)
     sums = blocks  # S for the one-block prefix
-    for k in range(2, cfg.N + 1):
-        if k < cfg.N:
+    for k in range(2, N + 1):
+        if k < N:
             # S reversed along a parity axis reads S_{a^1}: every output parity at once
             n, scale, parity = 2, 1.0, (slice(None), slice(None, None, -1))
         else:
             # the whole string needs parities (0, 0) only; the factor 2^(1-N) scales exactly
-            n, scale, parity = 1, 2.0 ** (1 - cfg.N), (slice(0, 1), slice(1, 2))
+            n, scale, parity = 1, 2.0 ** (1 - N), (slice(0, 1), slice(1, 2))
         source = [sums[parity[a], parity[b]] for a, b in product((0, 1), repeat=2)]
         dim = sums.shape[-1]
         new = np.zeros((n, n, dim_b, dim, dim_b, dim))
@@ -196,12 +205,8 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
 
-    # projecting every block onto span{|0_L>, |1_L>} keeps the 2^N x 2^N
-    # submatrix at the logical indices, where a block reads 0...0 or 1...1
-    index = np.zeros(1, dtype=np.int64)
-    for _ in range(cfg.N):
-        index = (index[:, None] * 2**cfg.m + [0, 2**cfg.m - 1]).ravel()
-    rho = decohered_cghz(cfg, p)[np.ix_(index, index)]
+    # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every B_ab
+    rho = _even_string_sum(_logical_blocks(cfg.m, p)[:, :, [0, -1]][..., [0, -1]], cfg.N)
     weight = float(np.real(np.trace(rho)))
 
     # the kept blocks 0 and 1 lead the index; the measured logical states

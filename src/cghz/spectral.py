@@ -151,12 +151,12 @@ def _runs(lengths):
 class _Table:
     """One (N, m, p): doublet scalars, power tables of e+- and f+- (rows _E, _E+1, _F, _F+1), log factorials."""
 
-    def __init__(self, cfg: BlockConfig, p, max_sectors):
+    def __init__(self, cfg: BlockConfig, p):
         self.alg = alg = doublet_algebra(cfg.m, p)
         N = self.N = cfg.N
         n_sectors = math.comb(N + len(alg.s) - 1, len(alg.s) - 1)
-        if n_sectors > max_sectors:
-            raise ResourceLimitError(f"spectral engine: {n_sectors} sectors exceed the cap of {max_sectors}")
+        if n_sectors > DEFAULT_SECTOR_CAP:
+            raise ResourceLimitError(f"spectral engine: {n_sectors} sectors exceed the cap of {DEFAULT_SECTOR_CAP}")
         s0, t0, q = alg.s[0], alg.t[0], alg.q  # e-, f- >= 0 exactly; the clamp drops a rounding sign at m = 1
         bases = ((2 * s0 + q) / 2, max((2 * s0 - q) / 2, 0.0), (2 * t0 + q) / 2, max((2 * t0 - q) / 2, 0.0))
         # a nonzero product of two powers is at least min(base)^N; if that is >= _TINY no logs are needed
@@ -206,14 +206,14 @@ class _Table:
         return base[n], j, h, np.where(low, np.exp(logs - scale), values), scale
 
 
-def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
+def cghz_spectrum(cfg: BlockConfig, p):
     """Exact eigenvalues (S g_h +- T c_h)/2 per sector and h <= n/2, with exact integer multiplicities.
 
     A pair's multiplicity is the sector's instance count N!/prod(c!) prod(counts^c) 2^(N-n) times
     C(n, h); a mirror pair h = n/2 counts half its strings (C(n, n/2) is even for n > 0; the n = 0
     sector halves its outer z patterns instead).
     """
-    tab = _Table(cfg, p, max_sectors)
+    tab = _Table(cfg, p)
     N = tab.N
     cols, _, log_s, log_ts = tab.sectors()
     log_t = log_s + log_ts
@@ -236,14 +236,14 @@ def cghz_spectrum(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
     return SectorSpectrum(np.concatenate(values), np.concatenate(mults), total_dim=1 << cfg.qubits)
 
 
-def negativity(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
+def negativity(cfg: BlockConfig, p):
     """Sum of |negative eigenvalues| of the state partially transposed on one block.
 
     Sectors with the transposed block in a w >= 1 class are unchanged by the
     transpose and stay positive; only sectors placing it in the logical
     class contribute, with the cross weight c_h replaced by gamma_h.
     """
-    tab = _Table(cfg, p, max_sectors)
+    tab = _Table(cfg, p)
     cols, log_k, log_s, log_ts = tab.sectors(shift=_LN2)
     keep = (log_ts > _LOG_ZERO / 2).nonzero()[0]  # needs a cross weight; n = 0 has no table entry
     n = cols[0][keep]
@@ -270,7 +270,7 @@ def negativity(cfg: BlockConfig, p, max_sectors=DEFAULT_SECTOR_CAP):
     return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))
 
 
-def fisher_information(cfg: BlockConfig, p, generator="block-x", max_sectors=DEFAULT_SECTOR_CAP):
+def fisher_information(cfg: BlockConfig, p, generator="block-x"):
     """Quantum Fisher information of the decohered state for a local generator.
 
     generator="block-x": sum over blocks of sigma_x^(x)m (the block-local
@@ -281,7 +281,7 @@ def fisher_information(cfg: BlockConfig, p, generator="block-x", max_sectors=DEF
     """
     if generator not in ("block-x", "single-z"):
         raise InputError(f"unknown generator {generator!r}")
-    tab = _Table(cfg, p, max_sectors)
+    tab = _Table(cfg, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = _block_x_terms(tab) if generator == "block-x" else _single_z_terms(tab)
         return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))

@@ -187,6 +187,7 @@ class TestFitExponentialTail:
     def test_constant_data(self):
         fit = fit_exponential_tail([(n, 5.0) for n in range(5, 12)])
         assert fit.rate == pytest.approx(0.0, abs=1e-13)
+        assert math.copysign(1.0, fit.rate) == 1.0  # a zero slope is rate +0.0, never -0.0
 
     def test_geometric_coherence_rate(self):
         pts = [(n, coherence_norm(BlockConfig(n, 1), 0.9)) for n in range(5, 51)]

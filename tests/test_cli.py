@@ -127,17 +127,23 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "flag, value", [("--n-list", "2,x"), ("--m", "1,y"), ("--p", "0.9,z"), ("--n-range", "2:8:0")]
+        "flag, value",
+        [
+            ("--n-list", "2,x"), ("--m", "1,y"), ("--p", "0.9,z"), ("--n-range", "2:8:0"), ("--n-list", ""),
+            # a step below 1, and bounds that hold no N
+            ("--n-range", "10:2:-2"), ("--n-range", "2:4:-1"), ("--n-range", "5:2"), ("--n-pow2", "3:1"),
+        ],
     )
     def test_malformed_sweep_axis(self, capsys, flag, value):
         axes = {"--n-list": "2,3", "--m": "1", "--p": "0.9"}
-        if flag == "--n-range":
+        if flag in ("--n-range", "--n-pow2"):
             del axes["--n-list"]
         axes[flag] = value
         argv = [token for pair in axes.items() for token in pair]
-        code, _, err = run(capsys, "sweep", "coherence", *argv)
+        code, out, err = run(capsys, "sweep", "coherence", *argv)
         assert code == 1
-        assert err.startswith("usage error:")
+        assert out == ""
+        assert err.startswith(f"usage error: bad {flag} {value!r}")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -180,9 +186,18 @@ class TestExitCodes:
                 ("synthesize", "--N", "2", "--m", "2", "--seed", "3"),
                 "usage error: unrecognized arguments: --seed 3",
             ),
+            # a sweep takes exactly one N axis
+            (
+                ("sweep", "coherence", "--n-range", "2:4", "--n-list", "3", "--m", "2", "--p", "0.9"),
+                "usage error: argument --n-list: not allowed with argument --n-range",
+            ),
+            (
+                ("sweep", "coherence", "--m", "2", "--p", "0.9"),
+                "usage error: one of the arguments --n-range --n-list --n-pow2 is required",
+            ),
         ],
         ids=["p-with-rate", "threshold-cap", "samples", "random-m-zero", "random-m-negative", "negative-rate",
-             "eval-seed", "sweep-seed", "synthesize-seed"],
+             "eval-seed", "sweep-seed", "synthesize-seed", "sweep-two-axes", "sweep-no-axis"],
     )
     def test_malformed_option_value(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -302,6 +317,14 @@ class TestSweep:
         fit_lines = [ln for ln in path.read_text().splitlines() if ln.startswith("#fit")]
         assert len(fit_lines) == 1
         assert "gamma=" in fit_lines[0]
+
+    def test_fit_of_a_flat_series_has_rate_plus_zero(self, capsys):
+        # noiseless coherence is 1 at every N; the fitted rate printed -0.0
+        code, out, _ = run(capsys, "sweep", "coherence", "--n-list", "2,3,4,5", "--m", "1", "--p", "1.0", "--fit")
+        assert code == 0
+        fit_lines = [ln for ln in out.splitlines() if ln.startswith("#fit")]
+        assert len(fit_lines) == 1
+        assert ",gamma=0.0000000000000000e+00," in fit_lines[0]
 
     def test_decay_rates_ordered_by_block_size(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"

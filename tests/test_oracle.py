@@ -173,7 +173,10 @@ class TestDistillProtocol:
         [(_, _, fid)] = oracle.distill_protocol_outcomes(BlockConfig(2, 1), 0.9)
         assert fid == pytest.approx(0.8575, abs=1e-12)
 
-    @pytest.mark.parametrize("cfg", [BlockConfig(3, 2), BlockConfig(4, 1), BlockConfig(3, 3)])
+    # (4, 3) and (6, 2) are 12-qubit protocols
+    @pytest.mark.parametrize(
+        "cfg", [BlockConfig(3, 2), BlockConfig(4, 1), BlockConfig(3, 3), BlockConfig(4, 3), BlockConfig(6, 2)]
+    )
     @pytest.mark.parametrize("p", [0.7, 0.9])
     def test_average_matches_closed_form(self, cfg, p):
         avg = oracle.distill_protocol_average(cfg, p)
@@ -189,7 +192,7 @@ class TestDistillProtocol:
         fids = [fid for _, _, fid in records]
         assert max(fids) - min(fids) < 1e-10
 
-    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 2), (3, 3), (2, 4)])
     def test_records_match_the_literal_projection(self, shape):
         # reference: mask the full state to the logical span of every block,
         # then condition on each record by summing over the measured blocks

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cghz import linalg, oracle
+from cghz import linalg, oracle, spectral
 from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
 from cghz.spectral import (
@@ -172,9 +172,10 @@ class TestSpectrum:
         assert spec.multiplicity_total() == 2**1100
         assert spec.weighted_sum() == pytest.approx(1.0, abs=1e-12)  # the float eigenvalues sum to 1 - 6e-14
 
-    def test_sector_cap(self):
+    def test_sector_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_SECTOR_CAP", 1000)
         with pytest.raises(ResourceLimitError, match="sectors"):
-            cghz_spectrum(BlockConfig(64, 8), 0.9, max_sectors=1000)
+            cghz_spectrum(BlockConfig(64, 8), 0.9)
 
     @pytest.mark.parametrize("n_blocks", [2, 4, 8])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

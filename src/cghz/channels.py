@@ -67,8 +67,9 @@ def depolarize_all(mat, p):
     for k in range(q):
         # row and column index split as (qubits before k, qubit k, qubits after k)
         t = mat.reshape(mat.shape[:-2] + (2**k, 2, 2 ** (q - 1 - k), 2**k, 2, 2 ** (q - 1 - k)))
-        mixed = (1 - p) / 2 * (t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :])
+        zero, one = t[..., 0, :, :, 0, :], t[..., 1, :, :, 1, :]
+        mixed = (1 - p) / 2 * (zero + one)
         t *= p
-        t[..., 0, :, :, 0, :] += mixed
-        t[..., 1, :, :, 1, :] += mixed
+        zero += mixed
+        one += mixed
     return mat

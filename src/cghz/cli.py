@@ -206,19 +206,24 @@ def _parse_list(flag, text, convert=int, sep=","):
 
 
 def _parse_n_values(args):
-    # the parser's group gives exactly one axis; a bound pair that holds no N is malformed too
+    # the parser's group gives exactly one axis; a bound pair that holds no N,
+    # or an axis that holds an N below 1, is malformed too
     if args.n_list is not None:
-        return _parse_list("--n-list", args.n_list)
-    if args.n_pow2 is not None:
-        bounds = _parse_list("--n-pow2", args.n_pow2, sep=":")
-        if len(bounds) != 2 or bounds[1] < bounds[0]:
-            raise _UsageError(f"bad --n-pow2 {args.n_pow2!r}")
-        return [2**k for k in range(bounds[0], bounds[1] + 1)]
-    parts = _parse_list("--n-range", args.n_range, sep=":")
-    if len(parts) not in (2, 3) or parts[1] < parts[0] or min(parts[2:], default=1) < 1:
-        raise _UsageError(f"bad --n-range {args.n_range!r}")
-    lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
-    return list(range(lo, hi + 1, step))
+        flag, text = "--n-list", args.n_list
+        n_values = _parse_list(flag, text)
+    elif args.n_pow2 is not None:
+        flag, text = "--n-pow2", args.n_pow2
+        bounds = _parse_list(flag, text, sep=":")
+        ok = len(bounds) == 2 and 0 <= bounds[0] <= bounds[1]
+        n_values = [2**k for k in range(bounds[0], bounds[1] + 1)] if ok else []
+    else:
+        flag, text = "--n-range", args.n_range
+        parts = _parse_list(flag, text, sep=":")
+        ok = len(parts) in (2, 3) and min(parts[2:], default=1) >= 1
+        n_values = list(range(parts[0], parts[1] + 1, parts[2] if len(parts) == 3 else 1)) if ok else []
+    if not n_values or min(n_values) < 1:
+        raise _UsageError(f"bad {flag} {text!r}")
+    return n_values
 
 
 def _cmd_sweep(args):

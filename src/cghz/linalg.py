@@ -1,14 +1,19 @@
-"""Dense linear algebra for multi-qubit operators.
+"""Linear algebra for multi-qubit operators held as their exactly nonzero entries.
 
-Operators are plain ndarrays of shape (2**q, 2**q) and state vectors are
-ndarrays of shape (2**q,); the dtype follows the input, so real operators get
-real LAPACK routines.  Qubit 0 is the most significant bit of the
+An operator on q qubits is a `Sparse`: the dimension 2^q and three parallel
+arrays of row indices, column indices and values, one per exactly nonzero
+matrix element, in no particular order.  No function here forms a
+2^q x 2^q array.  Qubit 0 is the most significant bit of the
 computational-basis index; this convention fixes all tensor orderings in the
-package.  Hermiticity is never assumed (coherence operators are not
+package.  The dtype follows the input, so real operators get real LAPACK
+routines.  Hermiticity is never assumed (coherence operators are not
 Hermitian); each function states its own requirements.  The decompositions
-split a matrix along the exact block structure of its own nonzero pattern
-(`direct_sum_blocks`) and hand each block size to LAPACK as one batched call.
+split an operator along the exact block structure of its own entries
+(`direct_sum_blocks`) and hand each block size to LAPACK as one batched
+call on a dense (k, s, s) stack.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +24,49 @@ DENSE_QUBIT_CAP = 12
 
 HERMITICITY_TOL = 1e-12
 
+# entries per run where a pass over all entries would otherwise make full-length temporaries
+ENTRY_RUN = 1 << 16
+
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+
+
+# the dtype of row and column indices: they fit in 32 bits at the dense cap,
+# at half the memory of intp, and `take` gathers with them as fast
+INDEX = np.int32
+
+
+class Sparse(NamedTuple):
+    """A dim x dim operator: vals[t] at (rows[t], cols[t]), and zero at every coordinate not listed.
+
+    Every listed value is exactly nonzero and no coordinate is listed twice.
+    Indices are INDEX integers.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def sparse(mat):
+    """The exactly nonzero entries of a dense square matrix, row by row."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InputError(f"need a square matrix, got shape {mat.shape}")
+    rows, cols = np.nonzero(mat)
+    return Sparse(mat.shape[0], rows.astype(INDEX), cols.astype(INDEX), mat[rows, cols])
+
+
+def _exact_entries(dim, rows, cols, vals):
+    """The operator with these entries (no coordinate twice), leaving out those that are exactly zero."""
+    if not vals.all():
+        keep = vals != 0
+        rows, cols, vals = rows.compress(keep), cols.compress(keep), vals.compress(keep)
+    return Sparse(dim, rows, cols, vals)
 
 
 def qubit_count(dim):
@@ -40,121 +83,163 @@ def check_qubit_budget(q, what="dense operation"):
 
 
 def kron_all(ops):
-    """Kronecker product of 2-D operators, left to right."""
-    out = np.ones((1, 1))
+    """Kronecker product of operators, left to right."""
+    dim, rows, cols, vals = 1, np.zeros(1, INDEX), np.zeros(1, INDEX), np.ones(1)
     for op in ops:
-        op = np.asarray(op)
-        rows, cols = out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
-        # the broadcast product is laid out (row, row, col, col) already, so the reshape copies nothing
-        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(rows, cols)
-    return out
+        # the new factor holds the low digits of both indices; its entries
+        # run along the short outer axis and the product so far along the long one
+        rows = (op.rows[:, None] + rows * op.dim).ravel()
+        cols = (op.cols[:, None] + cols * op.dim).ravel()
+        vals = np.multiply.outer(op.vals, vals).ravel()
+        dim *= op.dim
+    return _exact_entries(dim, rows, cols, vals)
 
 
-def trace_norm(mat):
-    """Sum of singular values of a (not necessarily Hermitian) square matrix.
+def trace_norm(op):
+    """Sum of singular values of a (not necessarily Hermitian) square operator.
 
     Uses a full SVD of every direct-sum block: forming M^dagger M squares the
     condition number and costs ~1e-8 absolute error per near-zero singular
     value, far above what the cross-engine certification tolerances allow.
     """
-    return float(sum(np.sum(np.linalg.svd(stack, compute_uv=False)) for stack, in direct_sum_blocks(mat)))
+    return float(sum(np.sum(np.linalg.svd(stack, compute_uv=False)) for _, stack in direct_sum_blocks(op)))
 
 
-def partial_transpose(mat, qubits):
+def partial_transpose(op, qubits):
     """Transpose the row/column indices of the named qubits only.
 
-    Involutive and trace preserving; transposing every qubit equals the full
-    transpose.
+    The entries move and keep their values: the bits of the named qubits
+    trade places between row and column index.  Involutive and trace
+    preserving; transposing every qubit equals the full transpose.
     """
-    mat = np.asarray(mat)
-    q = qubit_count(mat.shape[0])
+    q = qubit_count(op.dim)
     for k in qubits:
         if not 0 <= k < q:
             raise InputError(f"qubit index {k} out of range for {q} qubits")
-    t = mat.reshape((2,) * (2 * q))
-    for k in set(qubits):
-        t = np.swapaxes(t, k, q + k)
-    return t.reshape(mat.shape)
+    mask = sum(1 << (q - 1 - k) for k in set(qubits))
+    swap = (op.rows ^ op.cols) & mask
+    return Sparse(op.dim, op.rows ^ swap, op.cols ^ swap, op.vals)
 
 
-def direct_sum_blocks(*mats):
-    """Split square matrices of one shape into their common exact direct-sum blocks.
-
-    Indices i and j share a block when a path of entries that are nonzero in
-    any of the matrices, or in its transpose, joins them.  Exact zeros decide,
-    with no tolerance, so every entry outside the blocks is exactly zero in
-    every matrix.  Returns, for each block size s, a tuple with one (k, s, s)
-    stack of blocks per matrix; the rows and columns of a block keep their
-    ascending order.
-    """
-    mats = [np.asarray(mat) for mat in mats]
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or any(mat.shape != shape for mat in mats):
-        raise InputError(f"need square matrices of one shape, got {[mat.shape for mat in mats]}")
-    n = shape[0]
-    linked = mats[0] != 0
-    for mat in mats[1:]:
-        # in place: at 12 qubits a full-size boolean temporary is 16 MB
-        np.logical_or(linked, mat, out=linked)
-    linked.flat[:: n + 1] = True
-    # every index points at its first neighbour, which is never above it, so
-    # the pointers form a forest; pointer jumping takes each index to its root.
-    # An entry that joins two roots, read in either orientation, hooks the
-    # higher root to the lower one, until every entry joins indices with one
-    # root; the roots then label the components of the symmetrised pattern
-    label = linked.argmax(axis=1)
+def _components(n, rows, cols):
+    """The component label of each of n indices: the lowest index joined to it by entries read either way."""
+    label = np.arange(n, dtype=INDEX)
+    # every index first takes the lowest index it has an entry to; after
+    # that, every root takes the lowest root it shares an entry with, in
+    # either orientation.  Pointers never go up, so they form a forest, and
+    # pointer jumping takes every index to its root
+    np.minimum.at(label, rows, cols)
+    lr, lc = rows, cols
     while True:
         up = label[label]
         while (up != label).any():
             label, up = up, up[up]
-        cut = label[:, None] != label
-        cut &= linked
-        if not cut.any():
-            break
-        rows, cols = np.nonzero(cut)
-        root_i, root_j = label[rows], label[cols]
-        np.minimum.at(label, root_i, root_j)
-        np.minimum.at(label, root_j, root_i)
-    size = np.bincount(label)[label]
-    # by block size, then by block, with ascending indices inside a block
-    order = np.lexsort((label, size))
-    stacks, start = [], 0
-    for s, count in enumerate(np.bincount(size).tolist()):
-        if count:
-            idx = order[start : start + count].reshape(-1, s)
-            start += count
-            stacks.append(tuple(mat[idx[:, :, None], idx[:, None, :]] for mat in mats))
-    return stacks
+        # only entries between different roots still join anything; a long
+        # entry list is read in runs of ENTRY_RUN, so the temporaries stay small
+        runs = range(0, lr.size, ENTRY_RUN)
+        if len(runs) > 1:
+            cut = np.concatenate([(label.take(lr[i : i + ENTRY_RUN]) != label.take(lc[i : i + ENTRY_RUN])).nonzero()[0] + i for i in runs])
+        else:
+            cut = (label.take(lr) != label.take(lc)).nonzero()[0]
+        if not cut.size:
+            return label
+        lr, lc = label.take(lr.take(cut)), label.take(lc.take(cut))
+        np.minimum.at(label, lr, lc)
+        np.minimum.at(label, lc, lr)
+
+
+def direct_sum_blocks(op):
+    """Split an operator into its exact direct-sum blocks, gathered by block size.
+
+    Indices i and j share a block when a path of entries, each read in
+    either orientation, joins them, so every entry outside the blocks is
+    exactly zero; an index without entries is a block of size 1 holding 0.
+    Returns one (index, stack) pair per block size s, in ascending s: index
+    (k, s) lists the basis indices of each block in ascending order, and
+    stack (k, s, s) holds the block's entries in that order.
+    """
+    n = op.dim
+    label = _components(n, op.rows, op.cols)
+    size = np.bincount(label, minlength=n)[label]
+    # by block size, then by block (labelled by its lowest index), then by index
+    order = (size * n + label).argsort(kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    # all stacks lie one after another in one flat buffer, where a block of
+    # size s takes s^2 places: row i starts after the sizes of all the
+    # indices ranked before it, and a block's first index is its label
+    ordered_size = size[order]
+    row_start = (ordered_size.cumsum() - ordered_size)[rank]
+    position = rank - rank[label]
+    buffer = np.zeros(int(ordered_size.sum()), dtype=op.vals.dtype)
+    for i in range(0, op.vals.size, ENTRY_RUN):
+        flat = row_start.take(op.rows[i : i + ENTRY_RUN])
+        flat += position.take(op.cols[i : i + ENTRY_RUN])
+        np.put(buffer, flat, op.vals[i : i + ENTRY_RUN])
+    bounds = [0, *((ordered_size[1:] != ordered_size[:-1]).nonzero()[0] + 1).tolist(), n]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        s = int(ordered_size[lo])
+        start = int(row_start[order[lo]])
+        out.append((order[lo:hi].reshape(-1, s), buffer[start : start + (hi - lo) * s].reshape(-1, s, s)))
+    return out
 
 
 def _checked_hermitian(mat):
     mat = np.asarray(mat)
-    dev = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
+    adjoint = mat.swapaxes(-1, -2)
+    dev = np.abs(mat - (adjoint.conj() if np.iscomplexobj(mat) else adjoint)).max()
     if dev > HERMITICITY_TOL:
         raise InputError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
     return mat
 
 
-def eig_hermitian(mat):
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix or (k, s, s) stack.
+def _checked_hermitian_entries(op):
+    """Return op if every entry matches the conjugate of its transposed partner within HERMITICITY_TOL.
 
-    Raises InputError if max |M - M^dagger| exceeds HERMITICITY_TOL.
+    An entry whose partner is not listed is compared with 0: after one sort
+    by coordinate, each entry and each negated conjugate partner are summed
+    per coordinate.
     """
-    return np.linalg.eigh(_checked_hermitian(mat))
+    rows, cols = op.rows.astype(np.int64), op.cols.astype(np.int64)
+    keys = np.concatenate((rows * op.dim + cols, cols * op.dim + rows))
+    order = np.argsort(keys)
+    keys = keys[order]
+    vals = np.concatenate((op.vals, -op.vals.conj()))[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    dev = np.abs(np.add.reduceat(vals, starts)).max() if keys.size else 0.0
+    if dev > HERMITICITY_TOL:
+        raise InputError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
+    return op
 
 
-def eigvals_hermitian(mat):
-    """Ascending eigenvalues of a Hermitian matrix, block by block and without eigenvectors.
+def eig_hermitian(mat):
+    """Ascending eigenvalues and orthonormal eigenvector columns of a dense Hermitian matrix or (k, s, s) stack.
+
+    Raises InputError if max |M - M^dagger| exceeds HERMITICITY_TOL.  A 1 x 1
+    matrix is its own eigenvalue, with eigenvector 1, and skips LAPACK.
+    """
+    mat = _checked_hermitian(mat)
+    if mat.shape[-1] == 1:
+        return mat[..., 0].real.copy(), np.ones_like(mat)
+    return np.linalg.eigh(mat)
+
+
+def eigvals_hermitian(op):
+    """Ascending eigenvalues of a Hermitian operator, block by block and without eigenvectors.
 
     The check of eig_hermitian runs on the gathered blocks; outside them both
     M and M^dagger are exactly zero, so this is the full-matrix check.
     """
-    parts = [np.linalg.eigvalsh(_checked_hermitian(stack)).ravel() for stack, in direct_sum_blocks(mat)]
+    parts = []
+    for _, stack in direct_sum_blocks(op):
+        stack = _checked_hermitian(stack)
+        parts.append(stack.real.ravel() if stack.shape[-1] == 1 else np.linalg.eigvalsh(stack).ravel())
     return np.sort(np.concatenate(parts))
 
 
 def apply_one_qubit(mat, q_index, n_qubits, left, right):
-    """left(q) @ M @ right(q) for 2x2 left/right acting on one tensor factor."""
+    """left(q) @ M @ right(q) for 2x2 left/right acting on one tensor factor of a dense matrix."""
     t = mat.reshape((2,) * (2 * n_qubits))
     t = np.tensordot(np.asarray(left, dtype=complex), t, axes=([1], [q_index]))
     t = np.moveaxis(t, 0, q_index)

@@ -1,10 +1,13 @@
-"""Dense brute-force ground truth for small systems (up to 12 qubits).
+"""Brute-force ground truth for small systems (up to 12 qubits).
 
-Everything here is built from explicit 2^(Nm)-dimensional matrices: the
-decohered state and coherence operator, their trace norms / negativities /
-Fisher information, and an exhaustive-outcome simulation of the
-projection-and-measurement distillation protocol.  The analytic and
-spectral engines are certified against this module on the overlap domain.
+Every quantity here comes from the explicit 2^(Nm)-dimensional operators,
+held as their exactly nonzero entries (`linalg.Sparse`), never as a
+2^q x 2^q array: the decohered state and coherence operator, their trace
+norms / negativities / Fisher information, and an exhaustive-outcome
+simulation of the projection-and-measurement distillation protocol.  No
+doublet algebra is used.  The decompositions run on the exact direct-sum
+blocks of each operator's own entries.  The analytic and spectral engines
+are certified against this module on the overlap domain.
 """
 
 import math
@@ -18,6 +21,9 @@ from .channels import depolarize_all
 from .states import BlockConfig, ghz
 
 FISHER_PAIR_SKIP = 1e-14
+
+# entries per run of slots in the last assembly step
+SLOT_RUN = 1 << 16
 
 
 def decohered_cghz(cfg: BlockConfig, p):
@@ -41,56 +47,72 @@ def _logical_blocks(m, p):
 
 
 def _even_string_sum(blocks, N):
-    """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks for a (2, 2, d, d) stack B.
+    """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks for a (2, 2, d, d) stack B, as entries.
 
     The sum is assembled one block at a time: the partial sums S_ab over
     the strings of a prefix whose ket and bra parities are (a, b) grow as
     S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
     leading factor, in the slots (i, j) where some B_cd is exactly nonzero.
-    Every term is non-negative, so the exact zeros are those of the literal
-    E^(x)q(|psi><psi|).
+    The four S_ab share one coordinate list, which each step extends slot by
+    slot, so no coordinate repeats and nothing is sorted.  Every term is
+    non-negative, so the exact zeros are those of the literal
+    E^(x)q(|psi><psi|); the last step leaves them out.
     """
     dim_b = blocks.shape[-1]
     # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
-    rows, cols = np.nonzero(blocks.any(axis=(0, 1)))
-    coeffs = blocks[:, :, rows, cols].reshape(4, -1).T.tolist()
-    slots = [
-        (i, j, [(ab, c) for ab, c in enumerate(cs) if c]) for i, j, cs in zip(rows.tolist(), cols.tolist(), coeffs)
-    ]
-    # a prefix carries both parities of ket and bra, the whole string only (0, 0)
-    sums = blocks  # S for the one-block prefix
-    for k in range(2, N + 1):
-        if k < N:
-            # S reversed along a parity axis reads S_{a^1}: every output parity at once
-            n, scale, parity = 2, 1.0, (slice(None), slice(None, None, -1))
-        else:
-            # the whole string needs parities (0, 0) only; the factor 2^(1-N) scales exactly
-            n, scale, parity = 1, 2.0 ** (1 - N), (slice(0, 1), slice(1, 2))
-        source = [sums[parity[a], parity[b]] for a, b in product((0, 1), repeat=2)]
-        dim = sums.shape[-1]
-        new = np.zeros((n, n, dim_b, dim, dim_b, dim))
-        for i, j, ((ab, c), *rest) in slots:
-            block = (c * scale) * source[ab]
-            for ab, c in rest:
-                block += (c * scale) * source[ab]
-            new[:, :, i, :, j, :] = block
-        sums = new.reshape(n, n, dim_b * dim, dim_b * dim)
-    return sums[0, 0]
+    slot_rows, slot_cols = np.array(np.nonzero(blocks.any(axis=(0, 1))), dtype=linalg.INDEX)
+    sums = blocks[:, :, slot_rows, slot_cols]  # S for the one-block prefix, on its coordinate list
+    slots = [[(ab, c) for ab, c in enumerate(cs) if c] for cs in sums.reshape(4, -1).T.tolist()]
+    rows, cols, dim = slot_rows, slot_cols, dim_b
+    if N == 1:
+        return linalg._exact_entries(dim, rows, cols, sums[0, 0])
+    for _ in range(2, N):
+        # S reversed along a parity axis reads S_{a^1}: every output parity at once
+        source = [sums, sums[:, ::-1], sums[::-1], sums[::-1, ::-1]]
+        sums = _slot_sums(slots, source, 1.0, np.empty((2, 2, len(slots), rows.size))).reshape(2, 2, -1)
+        rows = np.add.outer(slot_rows * dim, rows).ravel()
+        cols = np.add.outer(slot_cols * dim, cols).ravel()
+        dim *= dim_b
+    # the whole string needs parities (0, 0) only, S_00 = sum_cd B_cd (x) S_cd;
+    # the factor 2^(1-N) scales exactly.  Its exact zeros are left out; the
+    # slots go in runs of at most SLOT_RUN entries, so the coordinate
+    # temporaries stay small at any size
+    source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
+    vals = _slot_sums(slots, source, 2.0 ** (1 - N), np.empty((len(slots), rows.size)))
+    keep = vals != 0
+    ends = [0, *keep.sum(axis=1).cumsum().tolist()]
+    out = linalg.Sparse(dim * dim_b, np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1]))
+    run = max(1, SLOT_RUN // rows.size)
+    for lo in range(0, len(slots), run):
+        k, span = keep[lo : lo + run].ravel(), slice(ends[lo], ends[min(lo + run, len(slots))])
+        np.compress(k, np.add.outer(slot_rows[lo : lo + run] * dim, rows).ravel(), out=out.rows[span])
+        np.compress(k, np.add.outer(slot_cols[lo : lo + run] * dim, cols).ravel(), out=out.cols[span])
+        np.compress(k, vals[lo : lo + run].ravel(), out=out.vals[span])
+    return out
+
+
+def _slot_sums(slots, source, scale, out):
+    """Fill out[..., s, :] with the sum over the terms (ab, c) of slot s of (c scale) source[ab], in term order."""
+    for s, ((ab, c), *rest) in enumerate(slots):
+        block = np.multiply(c * scale, source[ab], out=out[..., s, :])
+        for ab, c in rest:
+            block += (c * scale) * source[ab]
+    return out
 
 
 def decohered_coherence(cfg: BlockConfig, p):
-    """Decohered N-block cross operator E |GHZ^+><GHZ^-|^(x)N (traceless, non-Hermitian).
+    """Decohered N-block cross operator E |GHZ^+><GHZ^-|^(x)N (traceless, non-Hermitian), as entries.
 
     The channel acts block by block, so this is the N-th Kronecker power of
     the one decohered block E^(x)m |GHZ^+><GHZ^-|.
     """
     linalg.check_qubit_budget(cfg.qubits, what="decohered coherence operator")
     block = depolarize_all(np.outer(ghz(cfg.m, +1), ghz(cfg.m, -1)), p)
-    return linalg.kron_all([block] * cfg.N)
+    return linalg.kron_all([linalg.sparse(block)] * cfg.N)
 
 
 def coherence_norm(cfg: BlockConfig, p):
-    """Dense trace norm of the decohered coherence operator."""
+    """Trace norm of the decohered coherence operator, from the SVD of each of its blocks."""
     return linalg.trace_norm(decohered_coherence(cfg, p))
 
 
@@ -106,83 +128,126 @@ def generic_coherence_norm(a, b, p):
     m = linalg.qubit_count(a.shape[0])
     if m > 6:
         raise ResourceLimitError(f"generic coherence norm capped at m <= 6, got m={m}")
-    return linalg.trace_norm(depolarize_all(np.outer(a, b.conj()), p))
+    return linalg.trace_norm(linalg.sparse(depolarize_all(np.outer(a, b.conj()), p)))
 
 
 def spectrum(cfg: BlockConfig, p):
-    """Ascending eigenvalues of the dense decohered state."""
+    """Ascending eigenvalues of the decohered state."""
     return linalg.eigvals_hermitian(decohered_cghz(cfg, p))
 
 
 def negativity(cfg: BlockConfig, p):
-    """Negativity across one block vs the rest, from the dense partial transpose."""
+    """Negativity across one block vs the rest, from the partial transpose."""
     evals = linalg.eigvals_hermitian(linalg.partial_transpose(decohered_cghz(cfg, p), range(cfg.m)))
     return float(np.sum(-evals[evals < 0]))  # +0.0 for a PPT state
 
 
 def block_x_generator(cfg: BlockConfig):
-    """sum_k sigma_x^(x)m acting on block k, as a dense matrix.
+    """sum_k sigma_x^(x)m acting on block k, as entries.
 
     sigma_x^(x)m on block k is the permutation i -> i XOR mask_k, where mask_k
     holds the m bits of block k; the N permutations never share an entry.
     """
     linalg.check_qubit_budget(cfg.qubits, what="generator")
-    index = np.arange(2**cfg.qubits)[:, None]
-    masks = ((1 << cfg.m) - 1) << (cfg.m * np.arange(cfg.N))
-    gen = np.zeros((index.size, index.size))
-    gen[index, index ^ masks] = 1.0
-    return gen
+    index = np.arange(2**cfg.qubits, dtype=linalg.INDEX)
+    masks = ((1 << cfg.m) - 1) << (cfg.m * np.arange(cfg.N, dtype=linalg.INDEX))
+    return linalg.Sparse(index.size, np.tile(index, cfg.N), (masks[:, None] ^ index).ravel(), np.ones(index.size * cfg.N))
 
 
 def single_z_generator(n_qubits):
-    """sum_j sigma_z^(j) over all physical qubits, as a dense matrix.
+    """sum_j sigma_z^(j) over all physical qubits, as entries.
 
     It is diagonal: on basis state i every qubit contributes +1 or -1, so
     the entry is n_qubits - 2 popcount(i).
     """
     linalg.check_qubit_budget(n_qubits, what="generator")
-    index = np.arange(2**n_qubits)
-    ones = sum(((index >> j) & 1 for j in range(n_qubits)), np.zeros_like(index))
-    return np.diag(n_qubits - 2.0 * ones)
+    diagonal = n_qubits - 2.0 * _popcount(np.arange(2**n_qubits), n_qubits)
+    index = np.flatnonzero(diagonal).astype(linalg.INDEX)
+    return linalg.Sparse(diagonal.size, index, index, diagonal[index])
+
+
+def _popcount(index, bits):
+    """The number of set bits among the low `bits` bits of each index."""
+    return sum(((index >> j) & 1 for j in range(bits)), np.zeros_like(index))
 
 
 def fisher_dense(rho, gen):
-    """Fisher information 2 sum_jk (l_k - l_j)^2/(l_k + l_j) |<k|A|j>|^2.
+    """Fisher information 2 sum_jk (l_k - l_j)^2/(l_k + l_j) |<k|A|j>|^2 of a state and a generator, given as entries.
 
     Pairs with l_k + l_j below FISHER_PAIR_SKIP are kernel pairs and contribute
     nothing.  Requires a Hermitian PSD unit-trace rho and a Hermitian
     generator of the same dimension.
     """
-    rho = np.asarray(rho)
-    gen = np.asarray(gen)
-    if rho.shape != gen.shape:
-        raise InputError(f"shape mismatch: {rho.shape} vs {gen.shape}")
-    # eigenvectors of rho stay inside the blocks of the union pattern, where
-    # gen is block diagonal too, so pairs from different blocks have <k|A|j> = 0
-    blocks = [(*linalg.eig_hermitian(rhos), gens) for rhos, gens in linalg.direct_sum_blocks(rho, gen)]
-    evals = np.concatenate([lam.ravel() for lam, _, _ in blocks])
-    if evals.min() < -1e-9 or abs(float(np.sum(evals)) - 1.0) > 1e-9:
+    if rho.dim != gen.dim:
+        raise InputError(f"dimension mismatch: {rho.dim} vs {gen.dim}")
+    return _fisher(rho, linalg._checked_hermitian_entries(gen))
+
+
+def _fisher(rho, gen):
+    """fisher_dense for a generator known to be Hermitian.
+
+    The eigenvectors of rho come from its own direct-sum blocks.  <k|A|j>
+    vanishes unless some entry of A joins the blocks P and Q of k and j, so
+    only those block pairs are read, as V_P^dagger A_PQ V_Q with A_PQ
+    gathered from A's entries, batched over the pairs of one shape.
+    """
+    n = rho.dim
+    blocks = linalg.direct_sum_blocks(rho)
+    eigs = [linalg.eig_hermitian(stack) for _, stack in blocks]
+    evals = np.concatenate([lam.ravel() for lam, _ in eigs])
+    if evals.min() < -1e-9 or abs(float(evals.sum()) - 1.0) > 1e-9:
         raise InputError("rho must be positive semidefinite with unit trace")
+    lams = [np.maximum(lam, 0.0) for lam, _ in eigs]
+    adjoints = [vecs.conj().swapaxes(-1, -2) for _, vecs in eigs]
+    # every index's row in its block, and the key parts of its block as the
+    # row (P) and as the column (Q) of a block pair; pairs sort by the size
+    # groups of P and Q, then by P and Q within their groups
+    groups = len(blocks)
+    position, as_p, as_q = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, np.intp)
+    for g, (index, _) in enumerate(blocks):
+        k, s = index.shape
+        position[index] = np.arange(s)
+        as_q[index] = np.arange(g * n * n, g * n * n + k)[:, None]
+        as_p[index] = np.arange(g * groups * n * n, g * groups * n * n + k * n, n)[:, None]
+    key = as_p.take(gen.rows) + as_q.take(gen.cols)
+    order = key.argsort()
+    key = key[order]
+    first = np.empty(key.size, bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    pairs = key[first]
+    pair_of_entry = np.empty_like(order)
+    pair_of_entry[order] = first.cumsum() - 1
+    shape, p_blocks, q_blocks = pairs // (n * n), pairs // n % n, pairs % n
+    sizes = np.array([index.shape[1] for index, _ in blocks])
+    size_q = sizes[shape % groups]
+    # A_PQ of every pair, one after another in one flat buffer
+    flat_len = sizes[shape // groups] * size_q
+    flat_start = flat_len.cumsum() - flat_len
+    buffer = np.zeros(flat_len.sum(), dtype=np.result_type(gen.vals, rho.vals))
+    buffer[flat_start[pair_of_entry] + position.take(gen.rows) * size_q[pair_of_entry] + position.take(gen.cols)] = gen.vals
+    bounds = [0, *((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist(), shape.size] if shape.size else []
     total = 0.0
-    for lam, vecs, gens in blocks:
-        linalg._checked_hermitian(gens)
-        # in place where possible: at 12 qubits each of these arrays is a full dense matrix
-        a_squared = np.abs(vecs.conj().swapaxes(-1, -2) @ gens @ vecs)
+    for lo, hi in zip(bounds, bounds[1:]):
+        gp, gq = divmod(int(shape[lo]), groups)
+        sp, sq = int(sizes[gp]), int(sizes[gq])
+        p, q = p_blocks[lo:hi], q_blocks[lo:hi]
+        a_pq = buffer[flat_start[lo] : flat_start[lo] + (hi - lo) * sp * sq].reshape(-1, sp, sq)
+        a_squared = np.abs(adjoints[gp][p] @ a_pq @ eigs[gq][1][q])
         a_squared **= 2
-        lam = np.clip(lam, 0.0, None)
-        lam_sum = lam[:, :, None] + lam[:, None, :]
-        weights = lam[:, :, None] - lam[:, None, :]
+        lam_p, lam_q = lams[gp][p][:, :, None], lams[gq][q][:, None, :]
+        lam_sum = lam_p + lam_q
+        weights = lam_p - lam_q
         weights **= 2
-        live = lam_sum > FISHER_PAIR_SKIP
-        np.divide(weights, lam_sum, out=weights, where=live)
-        weights[~live] = 0.0
-        weights *= a_squared
-        total += float(np.sum(weights))
+        # kernel pairs divide by the floor and then count zero
+        weights /= np.maximum(lam_sum, FISHER_PAIR_SKIP)
+        weights *= lam_sum > FISHER_PAIR_SKIP
+        total += float(np.vdot(weights, a_squared))
     return 2.0 * total
 
 
 def fisher(cfg: BlockConfig, p, generator="block-x"):
-    """Dense Fisher information of the decohered state for a named generator."""
+    """Fisher information of the decohered state for a named generator."""
     rho = decohered_cghz(cfg, p)
     if generator == "block-x":
         gen = block_x_generator(cfg)
@@ -190,7 +255,7 @@ def fisher(cfg: BlockConfig, p, generator="block-x"):
         gen = single_z_generator(cfg.qubits)
     else:
         raise InputError(f"unknown generator {generator!r}")
-    return fisher_dense(rho, gen)
+    return _fisher(rho, gen)
 
 
 def distill_protocol_outcomes(cfg: BlockConfig, p):
@@ -207,22 +272,26 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
 
     # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every B_ab
     rho = _even_string_sum(_logical_blocks(cfg.m, p)[:, :, [0, -1]][..., [0, -1]], cfg.N)
-    weight = float(np.real(np.trace(rho)))
 
-    # the kept blocks 0 and 1 lead the index; the measured logical states
-    # are basis vectors, so conditioning on an outcome record is direct indexing
+    # the kept blocks 0 and 1 lead the index, as (kept pair, record); the
+    # measured logical states are basis vectors, so the state conditioned on
+    # a record holds the entries whose row and column both carry that record
     dm = 2 ** (cfg.N - 2)
-    t = rho.reshape(4, dm, 4, dm)
-    # by record parity: kept-pair indices of (|0_L 0_L>, |1_L 1_L>), and of the
-    # same pair after the logical bit flip on block 0
-    bell = ([0, 3], [2, 1])
+    kept_row, record = np.divmod(rho.rows, dm)
+    kept_col, record_col = np.divmod(rho.cols, dm)
+    inside = record == record_col
+    # by record parity, the kept pair of (|0_L 0_L>, |1_L 1_L>) is {0, 3}, whose
+    # two bits agree, or after the logical bit flip on block 0 {2, 1}, whose bits differ
+    parity = _popcount(record, cfg.N - 2) & 1
+    in_pair = (((kept_row ^ (kept_row >> 1)) & 1) == parity) & (((kept_col ^ (kept_col >> 1)) & 1) == parity)
+    trace = inside & (kept_row == kept_col)
+    norms = np.bincount(record[trace], rho.vals[trace], minlength=dm)
+    overlaps = np.bincount(record[inside & in_pair], rho.vals[inside & in_pair], minlength=dm)
+    weight = float(np.sum(norms))
     records = []
-    for idx, outcome in enumerate(product((0, 1), repeat=cfg.N - 2)):
-        cond = t[:, idx, :, idx]
-        norm = float(np.real(np.trace(cond)))
+    for outcome, norm, overlap in zip(product((0, 1), repeat=cfg.N - 2), norms.tolist(), overlaps.tolist()):
         prob = norm / weight if weight > 0 else 0.0
-        pair = bell[sum(outcome) % 2]
-        fid = float(np.real(np.sum(cond[np.ix_(pair, pair)]))) / (2 * norm) if prob > 1e-14 else float("nan")
+        fid = overlap / (2 * norm) if prob > 1e-14 else float("nan")
         records.append((outcome, prob, fid))
     return records
 

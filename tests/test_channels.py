@@ -30,7 +30,7 @@ def test_coherence_action(p):
     op = np.outer(PLUS, MINUS.conj())
     out = depolarize(op, 0, p)
     np.testing.assert_allclose(out, p * op, atol=1e-14)
-    assert linalg.trace_norm(out) == pytest.approx(p, abs=1e-13)
+    assert linalg.trace_norm(linalg.sparse(out)) == pytest.approx(p, abs=1e-13)
 
 
 def test_matches_replacement_form():

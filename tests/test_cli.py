@@ -132,6 +132,8 @@ class TestExitCodes:
             ("--n-list", "2,x"), ("--m", "1,y"), ("--p", "0.9,z"), ("--n-range", "2:8:0"), ("--n-list", ""),
             # a step below 1, and bounds that hold no N
             ("--n-range", "10:2:-2"), ("--n-range", "2:4:-1"), ("--n-range", "5:2"), ("--n-pow2", "3:1"),
+            # an N below 1, rejected before any point runs
+            ("--n-pow2", "-1:1"), ("--n-list", "0,2"), ("--n-range", "-2:3"),
         ],
     )
     def test_malformed_sweep_axis(self, capsys, flag, value):
@@ -139,7 +141,8 @@ class TestExitCodes:
         if flag in ("--n-range", "--n-pow2"):
             del axes["--n-list"]
         axes[flag] = value
-        argv = [token for pair in axes.items() for token in pair]
+        # --flag=value, so that a value with a leading minus sign is not read as a flag
+        argv = [f"{flag}={value}" for flag, value in axes.items()]
         code, out, err = run(capsys, "sweep", "coherence", *argv)
         assert code == 1
         assert out == ""

@@ -6,6 +6,24 @@ from hypothesis import strategies as st
 from cghz import linalg, oracle
 from cghz.errors import InputError
 
+sparse = linalg.sparse
+
+
+def dense(op):
+    """The dense matrix of an operator given as entries."""
+    mat = np.zeros((op.dim, op.dim), dtype=op.vals.dtype)
+    mat[op.rows, op.cols] = op.vals
+    return mat
+
+
+def swapaxes_partial_transpose(mat, qubits):
+    """Reference: the named qubits' row and column tensor axes swapped on the full matrix."""
+    q = len(mat).bit_length() - 1
+    t = mat.reshape((2,) * (2 * q))
+    for k in set(qubits):
+        t = np.swapaxes(t, k, q + k)
+    return t.reshape(mat.shape)
+
 
 def bell_state():
     v = np.zeros(4, dtype=complex)
@@ -15,58 +33,66 @@ def bell_state():
 
 class TestTraceNorm:
     def test_identity(self):
-        assert linalg.trace_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-14)
+        assert linalg.trace_norm(sparse(np.eye(2))) == pytest.approx(2.0, abs=1e-14)
 
     def test_diag_signs(self):
-        assert linalg.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-14)
+        assert linalg.trace_norm(sparse(np.diag([1.0, -1.0]))) == pytest.approx(2.0, abs=1e-14)
 
     def test_rank_one_offdiagonal(self):
         m = np.zeros((2, 2), dtype=complex)
         m[0, 1] = 1.0
-        assert linalg.trace_norm(m) == pytest.approx(1.0, abs=1e-14)
+        assert linalg.trace_norm(sparse(m)) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_svd(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         ref = np.sum(np.linalg.svd(m, compute_uv=False))
-        assert linalg.trace_norm(m) == pytest.approx(ref, rel=1e-12)
+        assert linalg.trace_norm(sparse(m)) == pytest.approx(ref, rel=1e-12)
 
     def test_multiplicative_under_kron(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            prod = linalg.trace_norm(np.kron(a, b))
-            assert prod == pytest.approx(linalg.trace_norm(a) * linalg.trace_norm(b), rel=1e-10)
+            prod = linalg.trace_norm(linalg.kron_all([sparse(a), sparse(b)]))
+            assert prod == pytest.approx(linalg.trace_norm(sparse(a)) * linalg.trace_norm(sparse(b)), rel=1e-10)
 
 
 class TestPartialTranspose:
     def test_all_qubits_is_full_transpose(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        np.testing.assert_allclose(linalg.partial_transpose(m, [0, 1, 2]), m.T)
+        np.testing.assert_allclose(dense(linalg.partial_transpose(sparse(m), [0, 1, 2])), m.T)
 
     def test_empty_set_is_identity(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(linalg.partial_transpose(m, []), m)
+        np.testing.assert_array_equal(dense(linalg.partial_transpose(sparse(m), [])), m)
 
     def test_bell_eigenvalues(self):
         rho = np.outer(bell_state(), bell_state().conj())
-        pt = linalg.partial_transpose(rho, [1])
+        pt = dense(linalg.partial_transpose(sparse(rho), [1]))
         evals = np.sort(np.linalg.eigvalsh(pt))
         np.testing.assert_allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_involution_and_trace(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        pt = linalg.partial_transpose(m, [1])
-        np.testing.assert_allclose(linalg.partial_transpose(pt, [1]), m)
-        assert np.trace(pt) == pytest.approx(np.trace(m))
+        pt = linalg.partial_transpose(sparse(m), [1])
+        np.testing.assert_allclose(dense(linalg.partial_transpose(pt, [1])), m)
+        assert np.trace(dense(pt)) == pytest.approx(np.trace(m))
 
     def test_out_of_range_index(self):
         with pytest.raises(InputError):
-            linalg.partial_transpose(np.eye(4), [2])
+            linalg.partial_transpose(sparse(np.eye(4)), [2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_swapaxes_reference(self, q, seed, data):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((2**q, 2**q)) * (rng.random((2**q, 2**q)) < 0.4)
+        qubits = data.draw(st.lists(st.integers(0, q - 1), max_size=q))
+        np.testing.assert_array_equal(dense(linalg.partial_transpose(sparse(m), qubits)), swapaxes_partial_transpose(m, qubits))
 
 
 class TestEigHermitian:
@@ -104,6 +130,18 @@ class TestEigHermitian:
 
 
 class TestKron:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=0, max_size=4), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_kron(self, qubits, seed):
+        rng = np.random.default_rng(seed)
+        ops = [rng.standard_normal((2**k, 2**k)) * (rng.random((2**k, 2**k)) < 0.6) for k in qubits]
+        ref = np.ones((1, 1))
+        for op in ops:
+            ref = np.kron(ref, op)
+        out = linalg.kron_all([sparse(op) for op in ops])
+        assert len(set(zip(out.rows.tolist(), out.cols.tolist()))) == out.vals.size and np.all(out.vals != 0)
+        np.testing.assert_array_equal(dense(out), ref)
+
     def test_identity(self):
         np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
@@ -163,12 +201,12 @@ class TestDirectSumBlocks:
         # the permutation the first-neighbour pointers of a block rarely share a root
         rng = np.random.default_rng(seed)
         mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=True, path=path) for s in sizes])
-        found = [s for stack, in linalg.direct_sum_blocks(mat) for s in [stack.shape[1]] * stack.shape[0]]
+        found = [s for index, _ in linalg.direct_sum_blocks(sparse(mat)) for s in [index.shape[1]] * index.shape[0]]
         assert found == sorted(sizes)
-        evals = linalg.eigvals_hermitian(mat)
+        evals = linalg.eigvals_hermitian(sparse(mat))
         assert np.max(np.abs(evals - np.linalg.eigvalsh(mat))) <= 1e-12 * max(1.0, np.max(np.abs(evals)))
         ref = np.sum(np.linalg.svd(mat, compute_uv=False))
-        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+        assert abs(linalg.trace_norm(sparse(mat)) - ref) <= 1e-12 * ref
 
     @settings(max_examples=40, deadline=None)
     @given(block_sizes, st.booleans(), st.integers(0, 2**32 - 1))
@@ -176,7 +214,7 @@ class TestDirectSumBlocks:
         rng = np.random.default_rng(seed)
         mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=False, path=path) for s in sizes])
         ref = np.sum(np.linalg.svd(mat, compute_uv=False))
-        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+        assert abs(linalg.trace_norm(sparse(mat)) - ref) <= 1e-12 * ref
 
     def test_one_sided_entry_joins_two_blocks(self):
         # M[i, j] != 0 while M[j, i] == 0: only the symmetrised pattern sees the link
@@ -187,26 +225,33 @@ class TestDirectSumBlocks:
         mat[i, j] = 0.5
         assert mat[j, i] == 0
         for one_sided in (mat, mat.T):
-            assert sum(len(stack) for stack, in linalg.direct_sum_blocks(one_sided)) == 3
+            assert sum(len(index) for index, _ in linalg.direct_sum_blocks(sparse(one_sided))) == 3
         ref = np.sum(np.linalg.svd(mat, compute_uv=False))
-        assert abs(linalg.trace_norm(mat) - ref) <= 1e-12 * ref
+        assert abs(linalg.trace_norm(sparse(mat)) - ref) <= 1e-12 * ref
         with pytest.raises(InputError):
-            linalg.eigvals_hermitian(mat)
+            linalg.eigvals_hermitian(sparse(mat))
 
-    def test_union_of_patterns(self):
-        diag = np.diag([1.0, 2.0, 3.0, 4.0])
-        link = np.zeros((4, 4))
-        link[0, 3] = link[3, 0] = 1.0
-        stacks = linalg.direct_sum_blocks(diag, link)
-        assert [stack.shape for stack, _ in stacks] == [(2, 1, 1), (1, 2, 2)]
-        np.testing.assert_array_equal(stacks[1][0][0], [[1.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(stacks[1][1][0], [[0.0, 1.0], [1.0, 0.0]])
+    @settings(max_examples=40, deadline=None)
+    @given(block_sizes, st.integers(0, 2**32 - 1))
+    def test_blocks_list_their_indices(self, sizes, seed):
+        # the stacks put back at their index lists rebuild the matrix, and an
+        # index without entries is a block of size 1 holding 0
+        rng = np.random.default_rng(seed)
+        mat = permuted_direct_sum(rng, [random_block(rng, s, hermitian=False) * (s > 1) for s in sizes])
+        rebuilt = np.zeros_like(mat)
+        seen = []
+        for index, stack in linalg.direct_sum_blocks(sparse(mat)):
+            assert np.all(np.diff(index, axis=1) > 0)
+            rebuilt[index[:, :, None], index[:, None, :]] = stack
+            seen.extend(index.ravel().tolist())
+        assert sorted(seen) == list(range(len(mat)))
+        np.testing.assert_array_equal(rebuilt, mat)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(InputError):
-            linalg.direct_sum_blocks(np.eye(4), np.eye(2))
+            linalg.sparse(np.ones((2, 3)))
         with pytest.raises(InputError):
-            linalg.direct_sum_blocks(np.ones((2, 3)))
+            linalg.sparse(np.ones(4))
 
 
 def unsplit_fisher(rho, gen):
@@ -222,7 +267,7 @@ def unsplit_fisher(rho, gen):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 2**32 - 1))
-def test_fisher_splits_on_the_union_pattern(n, seed):
+def test_fisher_on_the_state_blocks_matches_the_unsplit_sum(n, seed):
     # a diagonal rho splits into n blocks of size 1; the generator couples them
     rng = np.random.default_rng(seed)
     weights = rng.random(n)
@@ -233,4 +278,25 @@ def test_fisher_splits_on_the_union_pattern(n, seed):
     gen[rng.random((n, n)) < 0.5] = 0.0
     gen = np.triu(gen) + np.triu(gen, 1).conj().T
     ref = unsplit_fisher(rho, gen)
-    assert abs(oracle.fisher_dense(rho, gen) - ref) <= 1e-12 * max(1.0, ref)
+    assert abs(oracle.fisher_dense(sparse(rho), sparse(gen)) - ref) <= 1e-12 * max(1.0, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_sizes, st.integers(0, 2**32 - 1))
+def test_fisher_between_blocks_of_different_sizes(sizes, seed):
+    # rho is a permuted direct sum of PSD blocks of mixed sizes, some of them
+    # zero, and the generator couples blocks of different sizes
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for s in sizes:
+        g = random_block(rng, s, hermitian=False)
+        blocks.append(g @ g.conj().T * (rng.random() < 0.8))
+    rho = permuted_direct_sum(rng, blocks)
+    rho[0, 0] += 0.1
+    rho /= np.trace(rho).real
+    n = len(rho)
+    gen = random_block(rng, n, hermitian=True)
+    gen[rng.random((n, n)) < 0.5] = 0.0
+    gen = np.triu(gen) + np.triu(gen, 1).conj().T
+    ref = unsplit_fisher(rho, gen)
+    assert abs(oracle.fisher_dense(sparse(rho), sparse(gen)) - ref) <= 1e-12 * max(1.0, ref)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -11,22 +13,36 @@ from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
 from cghz.states import BlockConfig, cghz, ghz, random_orthogonal_pair
 
+sparse = linalg.sparse
+
+
+def dense(op):
+    """The dense matrix of an operator given as entries."""
+    mat = np.zeros((op.dim, op.dim), dtype=op.vals.dtype)
+    mat[op.rows, op.cols] = op.vals
+    return mat
+
+
+def kron(ops):
+    """Dense Kronecker product, left to right."""
+    return reduce(np.kron, ops, np.ones((1, 1)))
+
 
 class TestDecoheredCghz:
     def test_noiseless_is_pure_projector(self):
         cfg = BlockConfig(2, 2)
         psi = cghz(cfg)
-        rho = oracle.decohered_cghz(cfg, 1.0)
+        rho = dense(oracle.decohered_cghz(cfg, 1.0))
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-14)
 
     def test_full_noise_is_maximally_mixed(self):
         cfg = BlockConfig(2, 2)
-        rho = oracle.decohered_cghz(cfg, 0.0)
+        rho = dense(oracle.decohered_cghz(cfg, 0.0))
         np.testing.assert_allclose(rho, np.eye(16) / 16, atol=1e-14)
 
     @pytest.mark.parametrize("p", [0.3, 0.9])
     def test_density_operator_properties(self, p):
-        rho = oracle.decohered_cghz(BlockConfig(3, 2), p)
+        rho = dense(oracle.decohered_cghz(BlockConfig(3, 2), p))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
@@ -44,7 +60,7 @@ def literal_decohered_cghz(cfg, p):
 
 def literal_decohered_coherence(cfg, p):
     """Reference: the N-block cross operator built first, then the channel on every qubit."""
-    return depolarize_all(linalg.kron_all([np.outer(ghz(cfg.m, +1), ghz(cfg.m, -1))] * cfg.N), p)
+    return depolarize_all(kron([np.outer(ghz(cfg.m, +1), ghz(cfg.m, -1))] * cfg.N), p)
 
 
 SMALL_SHAPES = [(n, m) for m in range(1, 9) for n in range(1, 8 // m + 1)]
@@ -59,7 +75,10 @@ DYADIC_P = st.integers(0, 64).map(lambda k: k / 64)
 @example((4, 2), 0.0)
 def test_block_assembly_matches_the_literal_state(shape, p):
     cfg = BlockConfig(*shape)
-    rho = oracle.decohered_cghz(cfg, p)
+    op = oracle.decohered_cghz(cfg, p)
+    # exactly nonzero entries, no coordinate twice
+    assert np.all(op.vals != 0) and len(set(zip(op.rows.tolist(), op.cols.tolist()))) == op.vals.size
+    rho = dense(op)
     ref = literal_decohered_cghz(cfg, p)
     assert rho.shape == ref.shape and rho.dtype == ref.dtype == np.float64
     # every term is non-negative, so both have the same exact zeros
@@ -75,14 +94,14 @@ def test_coherence_kronecker_power_matches_the_literal_operator(shape, p):
     # values only: entries that vanish exactly need not come out as exact
     # zeros in either form
     cfg = BlockConfig(*shape)
-    op = oracle.decohered_coherence(cfg, p)
+    op = dense(oracle.decohered_coherence(cfg, p))
     np.testing.assert_allclose(op, literal_decohered_coherence(cfg, p), rtol=0, atol=1e-15)
 
 
 class TestDecoheredCoherence:
     @pytest.mark.parametrize("cfg", [BlockConfig(1, 2), BlockConfig(2, 2), BlockConfig(3, 1)])
     def test_traceless(self, cfg):
-        op = oracle.decohered_coherence(cfg, 0.8)
+        op = dense(oracle.decohered_coherence(cfg, 0.8))
         assert abs(np.trace(op)) < 1e-13
 
     def test_single_qubit_norm(self):
@@ -134,11 +153,11 @@ class TestFisherDense:
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         gen = g + g.conj().T
         var = (v.conj() @ gen @ gen @ v - (v.conj() @ gen @ v) ** 2).real
-        assert oracle.fisher_dense(rho, gen) == pytest.approx(4 * var, rel=1e-10)
+        assert oracle.fisher_dense(sparse(rho), sparse(gen)) == pytest.approx(4 * var, rel=1e-10)
 
     def test_maximally_mixed_vanishes(self):
         gen = oracle.single_z_generator(3)
-        assert oracle.fisher_dense(np.eye(8) / 8, gen) == pytest.approx(0.0, abs=1e-12)
+        assert oracle.fisher_dense(sparse(np.eye(8) / 8), gen) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_cghz_block_generator(self):
         cfg = BlockConfig(2, 2)
@@ -147,20 +166,20 @@ class TestFisherDense:
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
-            oracle.fisher_dense(np.eye(4) / 4, np.eye(8))
+            oracle.fisher_dense(sparse(np.eye(4) / 4), sparse(np.eye(8)))
 
     def test_rejects_invalid_state(self):
         with pytest.raises(InputError):
-            oracle.fisher_dense(np.eye(4), np.eye(4))
+            oracle.fisher_dense(sparse(np.eye(4)), sparse(np.eye(4)))
 
     def test_rejects_non_hermitian_generator(self):
         gen = np.zeros((4, 4), dtype=complex)
         gen[0, 1] = 1.0  # no conjugate partner below the diagonal
         with pytest.raises(InputError, match="not Hermitian"):
-            oracle.fisher_dense(np.eye(4) / 4, gen)
+            oracle.fisher_dense(sparse(np.eye(4) / 4), sparse(gen))
         gen[1, 0] = 1.0 + 1e-9j  # Hermitian but for an imaginary part above the tolerance
         with pytest.raises(InputError, match="not Hermitian"):
-            oracle.fisher_dense(np.eye(4) / 4, gen)
+            oracle.fisher_dense(sparse(np.eye(4) / 4), sparse(gen))
 
 
 class TestDistillProtocol:
@@ -200,7 +219,7 @@ class TestDistillProtocol:
         dim_b = 2**cfg.m
         keep = np.zeros(dim_b)
         keep[[0, -1]] = 1.0
-        mask = linalg.kron_all([keep[None, :]] * cfg.N).ravel()
+        mask = kron([keep[None, :]] * cfg.N).ravel()
         rho = literal_decohered_cghz(cfg, p) * np.outer(mask, mask)
         t = rho.reshape((dim_b,) * (2 * cfg.N))
         records = oracle.distill_protocol_outcomes(cfg, p)
@@ -225,23 +244,23 @@ def kronecker_single_z(n_qubits):
     """Reference sum_j I (x) .. (x) Z_j (x) .. (x) I built from dense Kronecker products."""
     total = np.zeros((2**n_qubits, 2**n_qubits))
     for j in range(n_qubits):
-        total += linalg.kron_all([np.eye(2**j), linalg.PAULI_Z.real, np.eye(2 ** (n_qubits - 1 - j))])
+        total += kron([np.eye(2**j), linalg.PAULI_Z.real, np.eye(2 ** (n_qubits - 1 - j))])
     return total
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 9))
 def test_single_z_generator_is_the_kronecker_sum(n_qubits):
-    gen = oracle.single_z_generator(n_qubits)
+    gen = dense(oracle.single_z_generator(n_qubits))
     assert gen.dtype == np.float64
     assert np.array_equal(gen, kronecker_single_z(n_qubits))
 
 
 def kronecker_block_x(cfg):
     """Reference sum_k I (x) .. (x) X^(x)m on block k (x) .. (x) I built from dense Kronecker products."""
-    xm = linalg.kron_all([linalg.PAULI_X.real] * cfg.m)
+    xm = kron([linalg.PAULI_X.real] * cfg.m)
     total = np.zeros((2**cfg.qubits, 2**cfg.qubits))
     for k in range(cfg.N):
-        total += linalg.kron_all([np.eye(2 ** (cfg.m * k)), xm, np.eye(2 ** (cfg.m * (cfg.N - 1 - k)))])
+        total += kron([np.eye(2 ** (cfg.m * k)), xm, np.eye(2 ** (cfg.m * (cfg.N - 1 - k)))])
     return total
 
 
@@ -249,7 +268,7 @@ def kronecker_block_x(cfg):
     "cfg", [BlockConfig(n, m) for m in range(1, 5) for n in range(1, 9 // m + 1)] + [BlockConfig(5, 2)], ids=lambda c: f"N{c.N}-m{c.m}"
 )
 def test_block_x_generator_is_the_kronecker_sum(cfg):
-    gen = oracle.block_x_generator(cfg)
+    gen = dense(oracle.block_x_generator(cfg))
     assert gen.dtype == np.float64
     assert np.array_equal(gen, kronecker_block_x(cfg))
 
@@ -257,7 +276,7 @@ def test_block_x_generator_is_the_kronecker_sum(cfg):
 def test_single_z_fisher_unchanged_by_the_diagonal_generator():
     cfg = BlockConfig(3, 2)
     rho = oracle.decohered_cghz(cfg, 0.8)
-    assert oracle.fisher(cfg, 0.8, generator="single-z") == oracle.fisher_dense(rho, kronecker_single_z(6))
+    assert oracle.fisher(cfg, 0.8, generator="single-z") == oracle.fisher_dense(rho, sparse(kronecker_single_z(6)))
 
 
 def test_negativity_of_a_ppt_state_is_positive_zero():
@@ -269,5 +288,25 @@ def test_negativity_of_a_ppt_state_is_positive_zero():
 
 def test_generators_are_hermitian():
     cfg = BlockConfig(2, 2)
-    for gen in (oracle.block_x_generator(cfg), oracle.single_z_generator(4)):
+    for gen in (dense(oracle.block_x_generator(cfg)), dense(oracle.single_z_generator(4))):
         assert np.max(np.abs(gen - gen.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: oracle.fisher(cfg, 0.7),
+        lambda cfg: oracle.fisher(cfg, 0.7, generator="single-z"),
+        lambda cfg: oracle.negativity(cfg, 0.7),
+    ],
+    ids=["fisher-block-x", "fisher-single-z", "negativity"],
+)
+def test_twelve_qubit_oracle_peak_memory(call):
+    # at (4, 3) one dense 2^12 x 2^12 float matrix would take 128 MB
+    tracemalloc.start()
+    try:
+        call(BlockConfig(4, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -285,8 +285,11 @@ class TestFisher:
         cfg = BlockConfig(3, 1)
         p = 0.9
         rho = oracle.decohered_cghz(cfg, p)
-        h = linalg.kron_all([np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 3)
-        rho_z_basis = h @ rho @ h.conj().T
+        rho_dense = np.zeros((rho.dim, rho.dim))
+        rho_dense[rho.rows, rho.cols] = rho.vals
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        h = np.kron(np.kron(hadamard, hadamard), hadamard)
+        rho_z_basis = linalg.sparse(h @ rho_dense @ h.conj().T)
         f_x = oracle.fisher_dense(rho, oracle.block_x_generator(cfg))
         f_z = oracle.fisher_dense(rho_z_basis, oracle.single_z_generator(3))
         assert f_x == pytest.approx(f_z, rel=1e-10)

@@ -1,7 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from cghz import linalg
 from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
 from cghz.states import BlockConfig, cghz, ghz, random_orthogonal_pair
@@ -80,7 +81,7 @@ class TestCghz:
     @pytest.mark.parametrize("n_blocks", [2, 3, 4])
     def test_m1_is_ghz_in_rotated_basis(self, n_blocks):
         # |0> -> |+>, |1> -> |-> per qubit maps GHZ_N onto the m=1 state
-        rotated = linalg.kron_all([HADAMARD] * n_blocks) @ ghz(n_blocks, +1)
+        rotated = reduce(np.kron, [HADAMARD] * n_blocks) @ ghz(n_blocks, +1)
         fid = abs(np.vdot(cghz(BlockConfig(n_blocks, 1)), rotated))
         assert fid == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +120,7 @@ class TestLogicalHadamard:
         cfg = BlockConfig(2, 2)
         psi = cghz(cfg)
         rho = depolarize_all(np.outer(psi, psi.conj()), 0.9)
-        u = linalg.kron_all([logical_hadamard(2)] * 2)
+        u = np.kron(logical_hadamard(2), logical_hadamard(2))
         rot = u @ rho @ u.conj().T
 
         def sector(idx):

@@ -74,20 +74,28 @@ def _even_string_sum(blocks, N):
         cols = np.add.outer(slot_cols * dim, cols).ravel()
         dim *= dim_b
     # the whole string needs parities (0, 0) only, S_00 = sum_cd B_cd (x) S_cd;
-    # the factor 2^(1-N) scales exactly.  Its exact zeros are left out; the
-    # slots go in runs of at most SLOT_RUN entries, so the coordinate
-    # temporaries stay small at any size
+    # the factor 2^(1-N) scales exactly.  Its exact zeros are left out.  The
+    # slots go in runs of at most SLOT_RUN entries, so the temporaries stay
+    # small at any size: a first pass counts each run's nonzero sums, and a
+    # second writes them, recomputing every run but the last
     source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
-    vals = _slot_sums(slots, source, 2.0 ** (1 - N), np.empty((len(slots), rows.size)))
-    keep = vals != 0
-    ends = [0, *keep.sum(axis=1).cumsum().tolist()]
+    scale, run = 2.0 ** (1 - N), max(1, SLOT_RUN // rows.size)
+    runs = range(0, len(slots), run)
+    ends = [0]
+    for lo in runs:
+        vals = _slot_sums(slots[lo : lo + run], source, scale, np.empty((len(slots[lo : lo + run]), rows.size)))
+        ends.append(ends[-1] + np.count_nonzero(vals))
     out = linalg.Sparse(dim * dim_b, np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1]))
-    run = max(1, SLOT_RUN // rows.size)
-    for lo in range(0, len(slots), run):
-        k, span = keep[lo : lo + run].ravel(), slice(ends[lo], ends[min(lo + run, len(slots))])
-        np.compress(k, np.add.outer(slot_rows[lo : lo + run] * dim, rows).ravel(), out=out.rows[span])
-        np.compress(k, np.add.outer(slot_cols[lo : lo + run] * dim, cols).ravel(), out=out.cols[span])
-        np.compress(k, vals[lo : lo + run].ravel(), out=out.vals[span])
+    last = vals
+    for lo, start, stop in zip(runs, ends, ends[1:]):
+        if lo == runs[-1]:
+            vals = last
+        else:
+            vals = _slot_sums(slots[lo : lo + run], source, scale, np.empty((len(slots[lo : lo + run]), rows.size)))
+        keep = (vals != 0).ravel()
+        np.compress(keep, np.add.outer(slot_rows[lo : lo + run] * dim, rows).ravel(), out=out.rows[start:stop])
+        np.compress(keep, np.add.outer(slot_cols[lo : lo + run] * dim, cols).ravel(), out=out.cols[start:stop])
+        np.compress(keep, vals.ravel(), out=out.vals[start:stop])
     return out
 
 

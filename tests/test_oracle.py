@@ -73,6 +73,7 @@ DYADIC_P = st.integers(0, 64).map(lambda k: k / 64)
 @example((8, 1), 1.0)
 @example((2, 4), 1.0)
 @example((4, 2), 0.0)
+@example((9, 1), 0.5)  # the last step then goes in more than one run of slots
 def test_block_assembly_matches_the_literal_state(shape, p):
     cfg = BlockConfig(*shape)
     op = oracle.decohered_cghz(cfg, p)

@@ -79,19 +79,20 @@ def _even_string_sum(blocks, N):
     # small at any size: a first pass counts each run's nonzero sums, and a
     # second writes them, recomputing every run but the last
     source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
-    scale, run = 2.0 ** (1 - N), max(1, SLOT_RUN // rows.size)
+    run = max(1, SLOT_RUN // rows.size)
     runs = range(0, len(slots), run)
+
+    def run_sums(lo):
+        terms = slots[lo : lo + run]
+        return _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), rows.size)))
+
     ends = [0]
     for lo in runs:
-        vals = _slot_sums(slots[lo : lo + run], source, scale, np.empty((len(slots[lo : lo + run]), rows.size)))
-        ends.append(ends[-1] + np.count_nonzero(vals))
+        last = run_sums(lo)
+        ends.append(ends[-1] + np.count_nonzero(last))
     out = linalg.Sparse(dim * dim_b, np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1]))
-    last = vals
     for lo, start, stop in zip(runs, ends, ends[1:]):
-        if lo == runs[-1]:
-            vals = last
-        else:
-            vals = _slot_sums(slots[lo : lo + run], source, scale, np.empty((len(slots[lo : lo + run]), rows.size)))
+        vals = last if lo == runs[-1] else run_sums(lo)
         keep = (vals != 0).ravel()
         np.compress(keep, np.add.outer(slot_rows[lo : lo + run] * dim, rows).ravel(), out=out.rows[start:stop])
         np.compress(keep, np.add.outer(slot_cols[lo : lo + run] * dim, cols).ravel(), out=out.cols[start:stop])

@@ -134,6 +134,8 @@ def _components(n, rows, cols):
         up = label[label]
         while (up != label).any():
             label, up = up, up[up]
+        if not label.any():
+            return label  # one root, index 0, holds every index: no entry can join two roots
         # only entries between different roots still join anything; a long
         # entry list is read in runs of ENTRY_RUN, so the temporaries stay small
         runs = range(0, lr.size, ENTRY_RUN)

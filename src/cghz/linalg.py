@@ -84,15 +84,14 @@ def check_qubit_budget(q, what="dense operation"):
 
 def kron_all(ops):
     """Kronecker product of operators, left to right."""
-    dim, rows, cols, vals = 1, np.zeros(1, INDEX), np.zeros(1, INDEX), np.ones(1)
+    dim, coords, vals = 1, np.zeros((2, 1), INDEX), np.ones(1)
     for op in ops:
         # the new factor holds the low digits of both indices; its entries
-        # run along the short outer axis and the product so far along the long one
-        rows = (op.rows[:, None] + rows * op.dim).ravel()
-        cols = (op.cols[:, None] + cols * op.dim).ravel()
+        # run along the short middle axis and the product so far along the long one
+        coords = (np.array((op.rows, op.cols))[:, :, None] + coords[:, None, :] * op.dim).reshape(2, -1)
         vals = np.multiply.outer(op.vals, vals).ravel()
         dim *= op.dim
-    return _exact_entries(dim, rows, cols, vals)
+    return _exact_entries(dim, coords[0], coords[1], vals)
 
 
 def trace_norm(op):

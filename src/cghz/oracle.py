@@ -60,18 +60,18 @@ def _even_string_sum(blocks, N):
     """
     dim_b = blocks.shape[-1]
     # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
-    slot_rows, slot_cols = np.array(np.nonzero(blocks.any(axis=(0, 1))), dtype=linalg.INDEX)
-    sums = blocks[:, :, slot_rows, slot_cols]  # S for the one-block prefix, on its coordinate list
+    slot_coords = np.array(np.nonzero(blocks.any(axis=(0, 1))), dtype=linalg.INDEX)
+    sums = blocks[:, :, slot_coords[0], slot_coords[1]]  # S for the one-block prefix, on its coordinate list
     slots = [[(ab, c) for ab, c in enumerate(cs) if c] for cs in sums.reshape(4, -1).T.tolist()]
-    rows, cols, dim = slot_rows, slot_cols, dim_b
+    # the coordinate list as one (2, L) array of rows and columns
+    coords, dim = slot_coords, dim_b
     if N == 1:
-        return linalg._exact_entries(dim, rows, cols, sums[0, 0])
+        return linalg._exact_entries(dim, coords[0], coords[1], sums[0, 0])
     for _ in range(2, N):
         # S reversed along a parity axis reads S_{a^1}: every output parity at once
         source = [sums, sums[:, ::-1], sums[::-1], sums[::-1, ::-1]]
-        sums = _slot_sums(slots, source, 1.0, np.empty((2, 2, len(slots), rows.size))).reshape(2, 2, -1)
-        rows = np.add.outer(slot_rows * dim, rows).ravel()
-        cols = np.add.outer(slot_cols * dim, cols).ravel()
+        sums = _slot_sums(slots, source, 1.0, np.empty((2, 2, len(slots), coords.shape[1]))).reshape(2, 2, -1)
+        coords = (slot_coords[:, :, None] * dim + coords[:, None, :]).reshape(2, -1)
         dim *= dim_b
     # the whole string needs parities (0, 0) only, S_00 = sum_cd B_cd (x) S_cd;
     # the factor 2^(1-N) scales exactly.  Its exact zeros are left out.  The
@@ -79,25 +79,25 @@ def _even_string_sum(blocks, N):
     # small at any size: a first pass counts each run's nonzero sums, and a
     # second writes them, recomputing every run but the last
     source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
-    run = max(1, SLOT_RUN // rows.size)
+    run = max(1, SLOT_RUN // coords.shape[1])
     runs = range(0, len(slots), run)
 
     def run_sums(lo):
         terms = slots[lo : lo + run]
-        return _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), rows.size)))
+        return _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), coords.shape[1])))
 
     ends = [0]
     for lo in runs:
         last = run_sums(lo)
         ends.append(ends[-1] + np.count_nonzero(last))
-    out = linalg.Sparse(dim * dim_b, np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1], linalg.INDEX), np.empty(ends[-1]))
+    out_coords, out_vals = np.empty((2, ends[-1]), linalg.INDEX), np.empty(ends[-1])
     for lo, start, stop in zip(runs, ends, ends[1:]):
         vals = last if lo == runs[-1] else run_sums(lo)
         keep = (vals != 0).ravel()
-        np.compress(keep, np.add.outer(slot_rows[lo : lo + run] * dim, rows).ravel(), out=out.rows[start:stop])
-        np.compress(keep, np.add.outer(slot_cols[lo : lo + run] * dim, cols).ravel(), out=out.cols[start:stop])
-        np.compress(keep, vals.ravel(), out=out.vals[start:stop])
-    return out
+        run_coords = (slot_coords[:, lo : lo + run, None] * dim + coords[:, None, :]).reshape(2, -1)
+        np.compress(keep, run_coords, axis=1, out=out_coords[:, start:stop])
+        np.compress(keep, vals.ravel(), out=out_vals[start:stop])
+    return linalg.Sparse(dim * dim_b, out_coords[0], out_coords[1], out_vals)
 
 
 def _slot_sums(slots, source, scale, out):

@@ -195,25 +195,6 @@ def _checked_hermitian(mat):
     return mat
 
 
-def _checked_hermitian_entries(op):
-    """Return op if every entry matches the conjugate of its transposed partner within HERMITICITY_TOL.
-
-    An entry whose partner is not listed is compared with 0: after one sort
-    by coordinate, each entry and each negated conjugate partner are summed
-    per coordinate.
-    """
-    rows, cols = op.rows.astype(np.int64), op.cols.astype(np.int64)
-    keys = np.concatenate((rows * op.dim + cols, cols * op.dim + rows))
-    order = np.argsort(keys)
-    keys = keys[order]
-    vals = np.concatenate((op.vals, -op.vals.conj()))[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    dev = np.abs(np.add.reduceat(vals, starts)).max() if keys.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise InputError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (deviation {dev:.3e})")
-    return op
-
-
 def eig_hermitian(mat):
     """Ascending eigenvalues and orthonormal eigenvector columns of a dense Hermitian matrix or (k, s, s) stack.
 

@@ -180,20 +180,12 @@ def _popcount(index, bits):
     return sum(((index >> j) & 1 for j in range(bits)), np.zeros_like(index))
 
 
-def fisher_dense(rho, gen):
+def _fisher(rho, gen):
     """Fisher information 2 sum_jk (l_k - l_j)^2/(l_k + l_j) |<k|A|j>|^2 of a state and a generator, given as entries.
 
     Pairs with l_k + l_j below FISHER_PAIR_SKIP are kernel pairs and contribute
     nothing.  Requires a Hermitian PSD unit-trace rho and a Hermitian
-    generator of the same dimension.
-    """
-    if rho.dim != gen.dim:
-        raise InputError(f"dimension mismatch: {rho.dim} vs {gen.dim}")
-    return _fisher(rho, linalg._checked_hermitian_entries(gen))
-
-
-def _fisher(rho, gen):
-    """fisher_dense for a generator known to be Hermitian.
+    generator of the same dimension; only rho is checked.
 
     The eigenvectors of rho come from its own direct-sum blocks.  <k|A|j>
     vanishes unless some entry of A joins the blocks P and Q of k and j, so

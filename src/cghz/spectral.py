@@ -42,7 +42,8 @@ each n's sectors by S/T once: (n, h) can count only for S/T <= gamma_h/g_h.
 Block-x Fisher terms all carry K T^2/S, which the multinomial theorem sums
 over the sectors with n logical blocks to C(N, n) A^(N-n), A = sum_(w>=1,
 s_w>0) counts_w t_w^2/s_w: an O(N^2) sum over (n, h).  Spectra are float64
-eigenvalues with exact Python-int multiplicities; sums use math.fsum.
+eigenvalues with exact Python-int multiplicities.  Every sum is correctly
+rounded (_exact_sum), with the bits math.fsum gives on the same terms.
 """
 
 import math
@@ -61,6 +62,10 @@ _LOG_ZERO = -1e290  # log 0, finite so that 0 log 0 = 0 in the class sums
 _TINY = 2.0**-900  # logical weights below this are rescaled from logarithms
 _E, _F = 0, 2  # power-table rows of e+ and f+; e- and f- follow each
 _BLOCK = 1 << 10  # pairs per vectorised block, gathered from the (n, h) table: bounds the temporaries
+_FSUM_TERMS = 1 << 11  # sums of fewer terms go to math.fsum, cheaper than the bucket sum's fixed numpy cost
+_CHUNK = 1 << 12  # terms per bucket pass: amortises its numpy calls and bounds its temporaries
+_FLUSH = 1 << 26  # terms per bucket accumulation (>= _CHUNK): 2^26 halves below 2^27 still sum exactly in float64
+_BUCKETS = 2046  # exponent buckets: the unit of bucket b is 2^(b - 1074), from subnormals to 2^971
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +116,7 @@ class SectorSpectrum:
         top = self.multiplicities.max()  # float() rounds 2^1024 - 2^970 up to 2^1024: then scale all by 2^-k
         k = 0 if top < 2**1024 - 2**970 else top.bit_length() - 1023
         weights = self.multiplicities if k == 0 else self.multiplicities / (1 << k)
-        return math.ldexp(math.fsum(self.eigenvalues * weights.astype(float)), k)
+        return math.ldexp(_exact_sum(lambda: [self.eigenvalues * weights.astype(float)]), k)
 
     def expanded(self):
         """All eigenvalues repeated by multiplicity, ascending (oracle-comparison aid)."""
@@ -124,6 +129,83 @@ class SectorSpectrum:
 
 def _log(x):
     return math.log(x) if x > 0 else _LOG_ZERO
+
+
+def _exact_sum(terms):
+    """math.fsum of every float64 term in the blocks that `terms()` yields, bit for bit, streaming the blocks.
+
+    Sums of fewer than _FSUM_TERMS terms go to math.fsum.  Larger ones are
+    summed exactly in exponent buckets (_bucket_sum) and rounded once.  Where
+    that cannot decide the result (a non-finite term, partial sums that may
+    leave the float range, a zero sum whose sign varies between Python
+    versions), `terms()` is called again and math.fsum sums the blocks.
+    """
+    blocks, kept, count = iter(terms()), [], 0
+    for block in blocks:
+        kept.append(block)
+        count += block.size
+        if count >= _FSUM_TERMS:
+            total = _bucket_sum(chain(kept, blocks))
+            return _fsum(terms()) if total is None else total
+    return _fsum(kept)
+
+
+def _fsum(blocks):
+    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, blocks)))
+
+
+def _bucket_sum(blocks):
+    """The correctly rounded sum of float64 blocks, or None where only math.fsum's own rules decide it.
+
+    None is returned for a non-finite term, a sum near overflow, or a zero sum of terms other than +0.0 (the sign
+    math.fsum gives that zero varies between Python versions).
+
+    A finite term x is M 2^e with an integer |M| < 2^53 and e = max(exponent - 53, -1074), so subnormals are exact.
+    M / 2^26 splits (np.modf) into a whole part below 2^27 and a fraction in steps of 2^-26, and one np.bincount
+    per part sums them per e: exact in float64 for up to _FLUSH terms, after which the buckets go into a Python int
+    in units of 2^-1074.  The int's true division by 2^1074 is correctly rounded, subnormal results included.  No
+    partial sum of math.fsum can overflow while sum |x| < 2^1023, which count 2^(largest exponent) bounds.
+    """
+    total, count, top, since, plus_zeros = 0, 0, 0, 0, True  # plus_zeros: every term so far is +0.0
+    sums = np.zeros((2, _BUCKETS))  # whole parts, fractions
+    for x in _chunks(blocks):
+        if since + x.size > _FLUSH:
+            if not np.isfinite(sums).all():
+                return None
+            total, since, sums = total + _bucket_int(sums), 0, np.zeros((2, _BUCKETS))
+        bucket = np.maximum(np.frexp(x)[1], -1021) + 1021  # e + 1074
+        part, integral = np.modf(np.ldexp(x, 1048 - bucket))  # M / 2^26 = x 2^(27 - exponent)
+        sums[0] += np.bincount(bucket, integral, _BUCKETS)
+        sums[1] += np.bincount(bucket, part, _BUCKETS)
+        top = max(top, int(bucket.max()))
+        count, since = count + x.size, since + x.size
+        plus_zeros = plus_zeros and not (x.any() or np.signbit(x).any())
+    if not np.isfinite(sums).all() or count.bit_length() + top > 2044:  # count 2^(top - 1021) >= 2^1023
+        return None
+    total += _bucket_int(sums)
+    return total / (1 << 1074) if total or plus_zeros else None
+
+
+def _chunks(blocks):
+    """The blocks' terms in consecutive arrays of _CHUNK terms, the last one shorter."""
+    pending, size = [], 0
+    for block in blocks:
+        pending.append(block)
+        size += block.size
+        if size >= _CHUNK:
+            joined = np.concatenate(pending) if len(pending) > 1 else block
+            cut = size - size % _CHUNK
+            yield from (joined[start : start + _CHUNK] for start in range(0, cut, _CHUNK))
+            pending, size = [joined[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
+
+
+def _bucket_int(sums):
+    """sum_b (whole_b + fraction_b) 2^(26 + b) as a Python int."""
+    nonzero = np.flatnonzero(sums.any(axis=0))
+    whole, frac = sums[:, nonzero] * [[1.0], [1 << 26]]
+    return sum(((int(w) << 26) + int(f)) << b for b, w, f in zip(nonzero.tolist(), whole.tolist(), frac.tolist()))
 
 
 def _compositions(N, parts):
@@ -251,7 +333,6 @@ def negativity(cfg: BlockConfig, p):
     log_c = tab.lf[j - 1] - tab.lf[h] - tab.lf[j - 1 - h]
     large = log_c > 20.0  # C(n-1, h) below e^20 is rounded to the exact integer
     coef, log_c = np.rint(np.exp(log_c * ~large)), log_c * large
-    terms = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_w = (log_k + log_s + log_ts)[keep] + np.log(n / cfg.N)  # K1 = K n/N (block 0 logical) 2^(N-n) T
         # sort by n, then S/T (inf past the float range): a kept pair has g S/T < gamma, so S/T <= fl(gamma/g)
@@ -262,12 +343,16 @@ def negativity(cfg: BlockConfig, p):
         bound = j.astype(complex)
         bound.imag = np.fmax(gamma / g, 0.0)
         first = n.searchsorted(j)  # n ascends in _compositions order, so each n keeps its positions
-        for at, i in _runs(keys.searchsorted(bound, side="right") - first):
-            row = first[at] + i
-            neg = coef[at] * ((gamma[at] - keys.imag[row] * g[at]) / 2)
-            pos = (neg > 0.0).nonzero()[0]
-            terms.append(np.exp((log_w[row] + scale[at] + log_c[at])[pos]) * neg[pos])
-    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))
+        lengths = keys.searchsorted(bound, side="right") - first
+
+        def terms():
+            for at, i in _runs(lengths):
+                row = first[at] + i
+                neg = coef[at] * ((gamma[at] - keys.imag[row] * g[at]) / 2)
+                pos = (neg > 0.0).nonzero()[0]
+                yield np.exp((log_w[row] + scale[at] + log_c[at])[pos]) * neg[pos]
+
+        return _exact_sum(terms)
 
 
 def fisher_information(cfg: BlockConfig, p, generator="block-x"):
@@ -282,9 +367,9 @@ def fisher_information(cfg: BlockConfig, p, generator="block-x"):
     if generator not in ("block-x", "single-z"):
         raise InputError(f"unknown generator {generator!r}")
     tab = _Table(cfg, p)
+    terms = _block_x_terms if generator == "block-x" else _single_z_terms
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = _block_x_terms(tab) if generator == "block-x" else _single_z_terms(tab)
-        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, terms)))
+        return _exact_sum(lambda: terms(tab))
 
 
 def _block_x_terms(tab):

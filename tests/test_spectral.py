@@ -1,9 +1,10 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cghz import linalg, oracle, spectral
@@ -18,6 +19,7 @@ from cghz.spectral import (
     negativity,
 )
 from cghz.states import BlockConfig, ghz
+from fisher_reference import fisher_dense
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -290,8 +292,8 @@ class TestFisher:
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         h = np.kron(np.kron(hadamard, hadamard), hadamard)
         rho_z_basis = linalg.sparse(h @ rho_dense @ h.conj().T)
-        f_x = oracle.fisher_dense(rho, oracle.block_x_generator(cfg))
-        f_z = oracle.fisher_dense(rho_z_basis, oracle.single_z_generator(3))
+        f_x = fisher_dense(rho, oracle.block_x_generator(cfg))
+        f_z = fisher_dense(rho_z_basis, oracle.single_z_generator(3))
         assert f_x == pytest.approx(f_z, rel=1e-10)
         assert fisher_information(cfg, p) == pytest.approx(f_x, abs=1e-8)
 
@@ -338,6 +340,89 @@ def test_engine_tracks_oracle_at_arbitrary_noise(shape, p):
     np.testing.assert_allclose(spec.expanded(), oracle.spectrum(cfg, p), atol=1e-10)
     assert negativity(cfg, p) == pytest.approx(oracle.negativity(cfg, p), abs=1e-9)
     assert fisher_information(cfg, p) == pytest.approx(oracle.fisher(cfg, p), abs=1e-8)
+
+
+DBL_MAX = np.finfo(float).max
+
+
+@st.composite
+def adversarial_terms(draw):
+    """Float64 terms on both sides of the fsum crossover: mixed signs, cancellation, subnormals, ties, specials."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(0, 3 * spectral._FSUM_TERMS))
+    lo = draw(st.integers(-1073, 1024))
+    exponents = rng.integers(lo, draw(st.integers(lo, 1024)) + 1, size)
+    terms = np.ldexp(rng.integers(2**52, 2**53, size) / 2.0**53, exponents)  # |x| from 2^-1074 to DBL_MAX
+    terms[rng.random(size) < draw(st.floats(0.0, 1.0))] *= -1.0
+    if draw(st.booleans()):  # cancel a random share of the terms exactly, down to an exact zero
+        terms = np.concatenate((terms, -terms[rng.random(size) < draw(st.sampled_from([0.5, 1.0]))]))
+    if draw(st.booleans()):  # a float plus pieces that sum to half its ulp: a tie, or a nudge off it
+        x = float(np.ldexp(rng.integers(2**52, 2**53) / 2.0**53, rng.integers(-1000, 1000)))
+        k = 2 ** draw(st.integers(0, 12))
+        nudge = draw(st.sampled_from([0.0, 5e-324, -5e-324]))
+        terms = np.concatenate((terms, [x, nudge], np.full(k, math.ulp(x) / 2 / k)))
+    specials = draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2))
+    terms = np.insert(terms, rng.integers(0, terms.size + 1, len(specials)), specials)
+    return rng.permutation(terms) if draw(st.booleans()) else terms
+
+
+def sum_outcome(add, blocks):
+    """The .hex() of the sum, or the name of the exception it raises."""
+    try:
+        return add(blocks).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def split_at_random(terms, rng):
+    return np.split(terms, np.sort(rng.integers(0, terms.size + 1, rng.integers(0, 12))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversarial_terms(), st.integers(0, 2**32 - 1))
+@example(np.full(4096, 2.0**1020), 0)  # the exact sum overflows
+@example(np.array([DBL_MAX, DBL_MAX, -DBL_MAX]), 0)  # a partial sum overflows
+@example(np.concatenate(([DBL_MAX, DBL_MAX, -DBL_MAX], np.ones(4096))), 0)
+@example(np.full(5000, 5e-324), 0)  # a subnormal sum
+@example(np.full(3000, -0.0), 0)
+@example(np.zeros(3000), 0)
+@example(np.concatenate((np.ones(3000), [math.inf, -math.inf])), 0)
+def test_exact_sum_is_fsum_bit_for_bit(terms, seed):
+    # compared with the running interpreter's fsum: its sign of an exact zero differs between versions
+    blocks = split_at_random(terms, np.random.default_rng(seed))
+    want = sum_outcome(math.fsum, terms.tolist())
+    assert sum_outcome(lambda b: spectral._exact_sum(lambda: b), blocks) == want
+    bucket = spectral._bucket_sum(iter(blocks))
+    if bucket is not None:
+        assert bucket.hex() == want
+    elif np.isfinite(terms).all() and np.abs(terms).max(initial=0.0) < 2.0**1000:
+        assert want in ("0x0.0p+0", "-0x0.0p+0")  # far from overflow only a zero sum is left to fsum
+        assert terms.any() or np.signbit(terms).any()  # and not one of +0.0 terms alone
+
+
+@pytest.mark.parametrize("exponent", [-1070, -300, 0, 900])
+def test_bucket_sum_flushes_exactly(monkeypatch, exponent):
+    # no real call reaches 2^26 terms cheaply: flush every 32 terms, in chunks of 8, from blocks of any size
+    monkeypatch.setattr(spectral, "_CHUNK", 8)
+    monkeypatch.setattr(spectral, "_FLUSH", 32)
+    rng = np.random.default_rng(exponent + 2000)
+    terms = np.ldexp(rng.standard_normal(3000), rng.integers(exponent, exponent + 60, 3000))
+    blocks = split_at_random(terms, rng)
+    assert spectral._exact_sum(lambda: blocks).hex() == math.fsum(terms.tolist()).hex()
+    assert spectral._bucket_sum(iter(blocks)).hex() == math.fsum(terms.tolist()).hex()
+    terms[rng.integers(0, 100)] = math.inf  # a non-finite term, seen at a flush before the end
+    assert spectral._exact_sum(lambda: split_at_random(terms, rng)) == math.inf
+
+
+def test_single_z_fisher_sums_as_it_goes():
+    # its 1.19M terms would take 9.1 MB as one float64 array
+    tracemalloc.start()
+    try:
+        fisher_information(BlockConfig(60, 7), 0.9, generator="single-z")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 NEAR_ONE = 1 - 2.0**-38

@@ -157,8 +157,8 @@ def _fsum(blocks):
 def _bucket_sum(blocks):
     """The correctly rounded sum of float64 blocks, or None where only math.fsum's own rules decide it.
 
-    None is returned for a non-finite term, a sum near overflow, or a zero sum of terms other than +0.0 (the sign
-    math.fsum gives that zero varies between Python versions).
+    None is returned for a non-finite term, a sum near overflow, or a zero sum (the sign math.fsum gives that zero
+    varies between Python versions).
 
     A finite term x is M 2^e with an integer |M| < 2^53 and e = max(exponent - 53, -1074), so subnormals are exact.
     M / 2^26 splits (np.modf) into a whole part below 2^27 and a fraction in steps of 2^-26, and one np.bincount
@@ -166,12 +166,12 @@ def _bucket_sum(blocks):
     in units of 2^-1074.  The int's true division by 2^1074 is correctly rounded, subnormal results included.  No
     partial sum of math.fsum can overflow while sum |x| < 2^1023, which count 2^(largest exponent) bounds.
     """
-    total, count, top, since, plus_zeros = 0, 0, 0, 0, True  # plus_zeros: every term so far is +0.0
+    total, count, top, since = 0, 0, 0, 0
     sums = np.zeros((2, _BUCKETS))  # whole parts, fractions
     for x in _chunks(blocks):
+        if not np.isfinite(x).all():
+            return None
         if since + x.size > _FLUSH:
-            if not np.isfinite(sums).all():
-                return None
             total, since, sums = total + _bucket_int(sums), 0, np.zeros((2, _BUCKETS))
         bucket = np.maximum(np.frexp(x)[1], -1021) + 1021  # e + 1074
         part, integral = np.modf(np.ldexp(x, 1048 - bucket))  # M / 2^26 = x 2^(27 - exponent)
@@ -179,11 +179,10 @@ def _bucket_sum(blocks):
         sums[1] += np.bincount(bucket, part, _BUCKETS)
         top = max(top, int(bucket.max()))
         count, since = count + x.size, since + x.size
-        plus_zeros = plus_zeros and not (x.any() or np.signbit(x).any())
-    if not np.isfinite(sums).all() or count.bit_length() + top > 2044:  # count 2^(top - 1021) >= 2^1023
+    if count.bit_length() + top > 2044:  # count 2^(top - 1021) >= 2^1023
         return None
     total += _bucket_int(sums)
-    return total / (1 << 1074) if total or plus_zeros else None
+    return total / (1 << 1074) if total else None
 
 
 def _chunks(blocks):

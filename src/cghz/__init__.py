@@ -2,7 +2,7 @@
 
 Library layout:
 
-- linalg:   dense complex linear algebra (trace norm, partial transpose, ...)
+- linalg:   operators held as their exactly nonzero entries (direct-sum blocks, trace norm, ...)
 - states:   GHZ / concatenated-GHZ constructors, random pairs
 - channels: single-qubit depolarizing channel, scalar transfer coefficients
 - analytic: closed-form coherence norms, distillation fidelity, tail fits

@@ -265,7 +265,7 @@ def simulate(circuit: Circuit, state=None):
         if psi.shape != (2**n,):
             raise InputError(f"state has dimension {psi.shape}, circuit needs {2**n}")
     index = np.arange(2**n)
-    weight = sum(((index >> q) & 1 for q in range(n)), np.zeros_like(index))
+    weight = linalg.popcount(index, n)
     in_run = False
     for g in circuit.gates + (None,):  # None ends a trailing run
         steps = []

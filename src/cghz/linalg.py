@@ -77,6 +77,11 @@ def qubit_count(dim):
     return q
 
 
+def popcount(index, bits):
+    """The number of set bits among the low `bits` bits of each index."""
+    return sum(((index >> j) & 1 for j in range(bits)), np.zeros_like(index))
+
+
 def check_qubit_budget(q, what="dense operation"):
     if q > DENSE_QUBIT_CAP:
         raise ResourceLimitError(f"{what} needs {q} qubits, cap is {DENSE_QUBIT_CAP}")

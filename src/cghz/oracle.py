@@ -22,9 +22,6 @@ from .states import BlockConfig, ghz
 
 FISHER_PAIR_SKIP = 1e-14
 
-# entries per run of slots in the last assembly step
-SLOT_RUN = 1 << 16
-
 
 def decohered_cghz(cfg: BlockConfig, p):
     """Density matrix of the concatenated GHZ state after white noise on every qubit.
@@ -75,29 +72,19 @@ def _even_string_sum(blocks, N):
         dim *= dim_b
     # the whole string needs parities (0, 0) only, S_00 = sum_cd B_cd (x) S_cd;
     # the factor 2^(1-N) scales exactly.  Its exact zeros are left out.  The
-    # slots go in runs of at most SLOT_RUN entries, so the temporaries stay
-    # small at any size: a first pass counts each run's nonzero sums, and a
-    # second writes them, recomputing every run but the last
+    # slots go in runs of at most linalg.ENTRY_RUN entries, so the temporaries
+    # stay small at any size; each run keeps its nonzero sums, and the runs are joined
     source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
-    run = max(1, SLOT_RUN // coords.shape[1])
-    runs = range(0, len(slots), run)
-
-    def run_sums(lo):
+    run = max(1, linalg.ENTRY_RUN // coords.shape[1])
+    out_coords, out_vals = [], []
+    for lo in range(0, len(slots), run):
         terms = slots[lo : lo + run]
-        return _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), coords.shape[1])))
-
-    ends = [0]
-    for lo in runs:
-        last = run_sums(lo)
-        ends.append(ends[-1] + np.count_nonzero(last))
-    out_coords, out_vals = np.empty((2, ends[-1]), linalg.INDEX), np.empty(ends[-1])
-    for lo, start, stop in zip(runs, ends, ends[1:]):
-        vals = last if lo == runs[-1] else run_sums(lo)
-        keep = (vals != 0).ravel()
-        run_coords = (slot_coords[:, lo : lo + run, None] * dim + coords[:, None, :]).reshape(2, -1)
-        np.compress(keep, run_coords, axis=1, out=out_coords[:, start:stop])
-        np.compress(keep, vals.ravel(), out=out_vals[start:stop])
-    return linalg.Sparse(dim * dim_b, out_coords[0], out_coords[1], out_vals)
+        vals = _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), coords.shape[1]))).ravel()
+        keep = vals != 0
+        out_coords.append((slot_coords[:, lo : lo + run, None] * dim + coords[:, None, :]).reshape(2, -1).compress(keep, axis=1))
+        out_vals.append(vals.compress(keep))
+    out_coords = np.concatenate(out_coords, axis=1)
+    return linalg.Sparse(dim * dim_b, out_coords[0], out_coords[1], np.concatenate(out_vals))
 
 
 def _slot_sums(slots, source, scale, out):
@@ -170,14 +157,9 @@ def single_z_generator(n_qubits):
     the entry is n_qubits - 2 popcount(i).
     """
     linalg.check_qubit_budget(n_qubits, what="generator")
-    diagonal = n_qubits - 2.0 * _popcount(np.arange(2**n_qubits), n_qubits)
+    diagonal = n_qubits - 2.0 * linalg.popcount(np.arange(2**n_qubits), n_qubits)
     index = np.flatnonzero(diagonal).astype(linalg.INDEX)
     return linalg.Sparse(diagonal.size, index, index, diagonal[index])
-
-
-def _popcount(index, bits):
-    """The number of set bits among the low `bits` bits of each index."""
-    return sum(((index >> j) & 1 for j in range(bits)), np.zeros_like(index))
 
 
 def _fisher(rho, gen):
@@ -229,21 +211,26 @@ def _fisher(rho, gen):
     buffer[flat_start[pair_of_entry] + position.take(gen.rows) * size_q[pair_of_entry] + position.take(gen.cols)] = gen.vals
     bounds = [0, *((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist(), shape.size] if shape.size else []
     total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        gp, gq = divmod(int(shape[lo]), groups)
+    for start, stop in zip(bounds, bounds[1:]):
+        gp, gq = divmod(int(shape[start]), groups)
         sp, sq = int(sizes[gp]), int(sizes[gq])
-        p, q = p_blocks[lo:hi], q_blocks[lo:hi]
-        a_pq = buffer[flat_start[lo] : flat_start[lo] + (hi - lo) * sp * sq].reshape(-1, sp, sq)
-        a_squared = np.abs(adjoints[gp][p] @ a_pq @ eigs[gq][1][q])
-        a_squared **= 2
-        lam_p, lam_q = lams[gp][p][:, :, None], lams[gq][q][:, None, :]
-        lam_sum = lam_p + lam_q
-        weights = lam_p - lam_q
-        weights **= 2
-        # kernel pairs divide by the floor and then count zero
-        weights /= np.maximum(lam_sum, FISHER_PAIR_SKIP)
-        weights *= lam_sum > FISHER_PAIR_SKIP
-        total += float(np.vdot(weights, a_squared))
+        # one block can pair with many others, so the pairs go in runs whose
+        # gathered eigenvector blocks hold at most linalg.ENTRY_RUN entries
+        run = max(1, linalg.ENTRY_RUN // (sp * sp + sq * sq))
+        for lo in range(start, stop, run):
+            hi = min(lo + run, stop)
+            p, q = p_blocks[lo:hi], q_blocks[lo:hi]
+            a_pq = buffer[flat_start[lo] : flat_start[lo] + (hi - lo) * sp * sq].reshape(-1, sp, sq)
+            a_squared = np.abs(adjoints[gp][p] @ a_pq @ eigs[gq][1][q])
+            a_squared **= 2
+            lam_p, lam_q = lams[gp][p][:, :, None], lams[gq][q][:, None, :]
+            lam_sum = lam_p + lam_q
+            weights = lam_p - lam_q
+            weights **= 2
+            # kernel pairs divide by the floor and then count zero
+            weights /= np.maximum(lam_sum, FISHER_PAIR_SKIP)
+            weights *= lam_sum > FISHER_PAIR_SKIP
+            total += float(np.vdot(weights, a_squared))
     return 2.0 * total
 
 
@@ -283,7 +270,7 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
     inside = record == record_col
     # by record parity, the kept pair of (|0_L 0_L>, |1_L 1_L>) is {0, 3}, whose
     # two bits agree, or after the logical bit flip on block 0 {2, 1}, whose bits differ
-    parity = _popcount(record, cfg.N - 2) & 1
+    parity = linalg.popcount(record, cfg.N - 2) & 1
     in_pair = (((kept_row ^ (kept_row >> 1)) & 1) == parity) & (((kept_col ^ (kept_col >> 1)) & 1) == parity)
     trace = inside & (kept_row == kept_col)
     norms = np.bincount(record[trace], rho.vals[trace], minlength=dm)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from cghz import linalg, oracle
 from cghz.errors import InputError
+from cghz.states import BlockConfig
 from fisher_reference import fisher_dense
+from test_oracle import DYADIC_P, SMALL_SHAPES, assert_matches_literal_state
 
 sparse = linalg.sparse
 
@@ -282,11 +284,8 @@ def test_fisher_on_the_state_blocks_matches_the_unsplit_sum(n, seed):
     assert abs(fisher_dense(sparse(rho), sparse(gen)) - ref) <= 1e-12 * max(1.0, ref)
 
 
-@settings(max_examples=60, deadline=None)
-@given(block_sizes, st.integers(0, 2**32 - 1))
-def test_fisher_between_blocks_of_different_sizes(sizes, seed):
-    # rho is a permuted direct sum of PSD blocks of mixed sizes, some of them
-    # zero, and the generator couples blocks of different sizes
+def mixed_size_blocks(sizes, seed):
+    """A state that is a permuted direct sum of PSD blocks of these sizes, some of them zero, and a generator coupling them."""
     rng = np.random.default_rng(seed)
     blocks = []
     for s in sizes:
@@ -299,5 +298,26 @@ def test_fisher_between_blocks_of_different_sizes(sizes, seed):
     gen = random_block(rng, n, hermitian=True)
     gen[rng.random((n, n)) < 0.5] = 0.0
     gen = np.triu(gen) + np.triu(gen, 1).conj().T
+    return rho, gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_sizes, st.integers(0, 2**32 - 1))
+def test_fisher_between_blocks_of_different_sizes(sizes, seed):
+    rho, gen = mixed_size_blocks(sizes, seed)
     ref = unsplit_fisher(rho, gen)
     assert abs(fisher_dense(sparse(rho), sparse(gen)) - ref) <= 1e-12 * max(1.0, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sizes, st.integers(0, 2**32 - 1), st.sampled_from(SMALL_SHAPES), DYADIC_P)
+def test_runs_of_eight_entries_change_no_result(sizes, seed, shape, p):
+    # the oracle's full-length passes read linalg.ENTRY_RUN when called; at 8
+    # entries the state assembly and the Fisher block pairs go in many runs
+    rho, gen = mixed_size_blocks(sizes, seed)
+    ref = unsplit_fisher(rho, gen)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "ENTRY_RUN", 8)
+        assert_matches_literal_state(BlockConfig(*shape), p)
+        value = fisher_dense(sparse(rho), sparse(gen))
+    assert abs(value - ref) <= 1e-12 * max(1.0, ref)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cghz import analytic, linalg, oracle
+from cghz import analytic, linalg, oracle, spectral
 from cghz.channels import depolarize_all
 from cghz.errors import InputError, ResourceLimitError
 from cghz.states import BlockConfig, cghz, ghz, random_orthogonal_pair
@@ -76,7 +76,11 @@ DYADIC_P = st.integers(0, 64).map(lambda k: k / 64)
 @example((4, 2), 0.0)
 @example((9, 1), 0.5)  # the last step then goes in more than one run of slots
 def test_block_assembly_matches_the_literal_state(shape, p):
-    cfg = BlockConfig(*shape)
+    assert_matches_literal_state(BlockConfig(*shape), p)
+
+
+def assert_matches_literal_state(cfg, p):
+    """decohered_cghz lists every exactly nonzero entry of the literal state once, each within 4e-15 relative."""
     op = oracle.decohered_cghz(cfg, p)
     # exactly nonzero entries, no coordinate twice
     assert np.all(op.vals != 0) and len(set(zip(op.rows.tolist(), op.cols.tolist()))) == op.vals.size
@@ -312,3 +316,17 @@ def test_twelve_qubit_oracle_peak_memory(call):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_pure_state_fisher_pairs_one_block_with_many():
+    # at p = 1, m = 1 the pure state's 512-row block pairs with 512 one-row
+    # blocks, and one gathered copy of the big block per pair would take 1 GB
+    cfg = BlockConfig(10, 1)
+    tracemalloc.start()
+    try:
+        value = oracle.fisher(cfg, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert abs(value - spectral.fisher_information(cfg, 1.0)) <= 1e-8

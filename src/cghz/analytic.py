@@ -12,7 +12,9 @@ N up to 1e15.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
 from .channels import survival, transfer_coefficients
@@ -37,10 +39,22 @@ def _block_deficit(m, p):
     is squared.
     """
     a, b, _ = transfer_coefficients(p)  # validates p
-    terms = [2.0 * math.comb(m, k) * a ** (m - k) * b**k for k in range(m // 2 + 1, m + 1)]
-    if m % 2 == 0:
-        terms.append(math.comb(m, m // 2) * (a * b) ** (m // 2))
-    return min(math.fsum(terms), 1.0)
+    try:
+        terms = [2.0 * math.comb(m, k) * a ** (m - k) * b**k for k in range(m // 2 + 1, m + 1)]
+        if m % 2 == 0:
+            terms.append(math.comb(m, m // 2) * (a * b) ** (m // 2))
+        deficit = math.fsum(terms)
+    except OverflowError:
+        deficit = math.inf
+    if not deficit < math.inf and a != b:
+        # from m = 1029 on, 2 C(m, k) is past the float range (at a = b the deficit is 1):
+        # C(m, j) a^(m-j) b^j = [C(m, j) / 4^(m-j)] b^(2j-m) (4ab)^(m-j) at j = ceil(m/2),
+        # the binomial scaled exactly in integers, then falls by (m-j) b / ((j+1) a) per step
+        k = (m + 1) // 2
+        first = math.comb(m, k) / 4 ** (m - k) * b ** (2 * k - m) * (4 * a * b) ** (m - k)
+        terms = accumulate(((m - j) / (j + 1) * (b / a) for j in range(k, m)), operator.mul, initial=first)
+        deficit = 2 * math.fsum(terms) - (first if 2 * k == m else 0.0)
+    return min(deficit, 1.0)
 
 
 def coherence_norm_block(m, p):
@@ -71,20 +85,26 @@ def coherence_bound(cfg: BlockConfig, p):
     p = survival(p)
     m = cfg.m
     base = 1.0 - math.sqrt(2 * m / math.pi) * (1 + 1 / (11 * m)) * (1 - p * p) ** (m / 2)
-    return base**cfg.N
+    try:
+        return base**cfg.N
+    except OverflowError:
+        raise InputError(f"coherence bound {base!r}^{cfg.N} is outside the float range") from None
 
 
 def _branch_weights(m, p):
     """(d, q, log r) of the projected block: d = a^m + b^m, q = p^m, r = o/d with o = a^m - b^m.
 
     log r is computed from the small deficit 2 b^m / d; it is -inf when o = 0.
+    Where d^2 underflows, d and q come scaled by a^-m, which keeps q/d.
     p is validated here.
     """
     a, b, p = transfer_coefficients(p)
-    d = a**m + b**m
-    deficit = 2 * b**m / d
+    d, q, b_m = a**m + b**m, p**m, b**m
+    if not d * d:
+        d, q, b_m = 1 + (b / a) ** m, (p / a) ** m, (b / a) ** m
+    deficit = 2 * b_m / d
     log_r = math.log1p(-deficit) if deficit < 1.0 else -math.inf
-    return d, p**m, log_r
+    return d, q, log_r
 
 
 def distill_fidelity(cfg: BlockConfig, p):

@@ -139,8 +139,8 @@ def _noise_from_args(args):
         raise _UsageError("give --p or (--kappa and --t), not both")
     if args.kappa is None or args.t is None:
         raise _UsageError("--kappa and --t must be given together")
-    if args.kappa < 0 or args.t < 0:
-        raise InputError("kappa and t must be nonnegative")
+    if not (args.kappa >= 0 and args.t >= 0 and args.kappa * args.t < math.inf):
+        raise InputError(f"kappa and t must be nonnegative and finite, with finite kappa*t; got kappa={args.kappa}, t={args.t}")
     return survival(math.exp(-args.kappa * args.t))
 
 

@@ -2,12 +2,13 @@
 
 Every quantity here comes from the explicit 2^(Nm)-dimensional operators,
 held as their exactly nonzero entries (`linalg.Sparse`), never as a
-2^q x 2^q array: the decohered state and coherence operator, their trace
-norms / negativities / Fisher information, and an exhaustive-outcome
-simulation of the projection-and-measurement distillation protocol.  No
-doublet algebra is used.  The decompositions run on the exact direct-sum
-blocks of each operator's own entries.  The analytic and spectral engines
-are certified against this module on the overlap domain.
+2^q x 2^q array beyond the dense 2^m x 2^m logical blocks (all of q at N = 1):
+the decohered state and coherence operator, their trace norms / negativities
+/ Fisher information, and an exhaustive-outcome simulation of the
+projection-and-measurement distillation protocol.  No doublet algebra is
+used.  The decompositions run on the exact direct-sum blocks of each
+operator's own entries.  The analytic and spectral engines are certified
+against this module on the overlap domain.
 """
 
 import math
@@ -43,57 +44,42 @@ def _logical_blocks(m, p):
     return depolarize_all(logical, p)
 
 
+# _XOR[h, g] = h ^ g: a new block of parity pair g takes a prefix of pair h ^ g to h
+_XOR = np.arange(4)[:, None] ^ np.arange(4)
+
+
 def _even_string_sum(blocks, N):
     """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks for a (2, 2, d, d) stack B, as entries.
 
-    The sum is assembled one block at a time: the partial sums S_ab over
-    the strings of a prefix whose ket and bra parities are (a, b) grow as
-    S'_ab = sum_cd B_cd (x) S_{a^c, b^d}, with the new block as the
-    leading factor, in the slots (i, j) where some B_cd is exactly nonzero.
-    The four S_ab share one coordinate list, which each step extends slot by
-    slot, so no coordinate repeats and nothing is sorted.  Every term is
-    non-negative, so the exact zeros are those of the literal
-    E^(x)q(|psi><psi|); the last step leaves them out.
+    One block at a time, from the empty prefix S_00 = 1: the partial sums S_h
+    over the prefixes whose ket and bra parities are the pair h = 2a + b grow
+    as S'_h = sum_g B_g (x) S_(h^g), the new block leading, in the S slots
+    (i, j) where some B_g is exactly nonzero.  With the slot values as an
+    (S, 4) matrix W, that is one product W S_(h^g) per block.  The four S_h
+    share one coordinate list, which each block extends slot by slot, so no
+    coordinate repeats and nothing is sorted.  Every term is non-negative, so
+    the exact zeros are those of the literal E^(x)q(|psi><psi|).
     """
     dim_b = blocks.shape[-1]
-    # the slots (i, j) where some B_ab is nonzero, each with its nonzero (2a + b, B_ab[i, j])
     slot_coords = np.array(np.nonzero(blocks.any(axis=(0, 1))), dtype=linalg.INDEX)
-    sums = blocks[:, :, slot_coords[0], slot_coords[1]]  # S for the one-block prefix, on its coordinate list
-    slots = [[(ab, c) for ab, c in enumerate(cs) if c] for cs in sums.reshape(4, -1).T.tolist()]
-    # the coordinate list as one (2, L) array of rows and columns
-    coords, dim = slot_coords, dim_b
-    if N == 1:
-        return linalg._exact_entries(dim, coords[0], coords[1], sums[0, 0])
-    for _ in range(2, N):
-        # S reversed along a parity axis reads S_{a^1}: every output parity at once
-        source = [sums, sums[:, ::-1], sums[::-1], sums[::-1, ::-1]]
-        sums = _slot_sums(slots, source, 1.0, np.empty((2, 2, len(slots), coords.shape[1]))).reshape(2, 2, -1)
+    weights = blocks[:, :, slot_coords[0], slot_coords[1]].reshape(4, -1).T
+    sums, coords, dim = np.array([[1.0], [0.0], [0.0], [0.0]]), np.zeros((2, 1), linalg.INDEX), 1
+    for _ in range(N - 1):
+        sums = np.matmul(weights, sums[_XOR]).reshape(4, -1)
         coords = (slot_coords[:, :, None] * dim + coords[:, None, :]).reshape(2, -1)
         dim *= dim_b
-    # the whole string needs parities (0, 0) only, S_00 = sum_cd B_cd (x) S_cd;
-    # the factor 2^(1-N) scales exactly.  Its exact zeros are left out.  The
-    # slots go in runs of at most linalg.ENTRY_RUN entries, so the temporaries
-    # stay small at any size; each run keeps its nonzero sums, and the runs are joined
-    source = [sums[0, 0], sums[0, 1], sums[1, 0], sums[1, 1]]
+    # the last block forms S_00 = W S only, where 2^(1-N) scales exactly, in
+    # runs of at most linalg.ENTRY_RUN entries, so the temporaries stay small
+    # at any size; each run keeps its nonzero sums, and the runs are joined
     run = max(1, linalg.ENTRY_RUN // coords.shape[1])
     out_coords, out_vals = [], []
-    for lo in range(0, len(slots), run):
-        terms = slots[lo : lo + run]
-        vals = _slot_sums(terms, source, 2.0 ** (1 - N), np.empty((len(terms), coords.shape[1]))).ravel()
+    for lo in range(0, len(weights), run):
+        vals = ((weights[lo : lo + run] * 2.0 ** (1 - N)) @ sums).ravel()
         keep = vals != 0
         out_coords.append((slot_coords[:, lo : lo + run, None] * dim + coords[:, None, :]).reshape(2, -1).compress(keep, axis=1))
         out_vals.append(vals.compress(keep))
     out_coords = np.concatenate(out_coords, axis=1)
     return linalg.Sparse(dim * dim_b, out_coords[0], out_coords[1], np.concatenate(out_vals))
-
-
-def _slot_sums(slots, source, scale, out):
-    """Fill out[..., s, :] with the sum over the terms (ab, c) of slot s of (c scale) source[ab], in term order."""
-    for s, ((ab, c), *rest) in enumerate(slots):
-        block = np.multiply(c * scale, source[ab], out=out[..., s, :])
-        for ab, c in rest:
-            block += (c * scale) * source[ab]
-    return out
 
 
 def decohered_coherence(cfg: BlockConfig, p):
@@ -192,15 +178,7 @@ def _fisher(rho, gen):
         position[index] = np.arange(s)
         as_q[index] = np.arange(g * n * n, g * n * n + k)[:, None]
         as_p[index] = np.arange(g * groups * n * n, g * groups * n * n + k * n, n)[:, None]
-    key = as_p.take(gen.rows) + as_q.take(gen.cols)
-    order = key.argsort()
-    key = key[order]
-    first = np.empty(key.size, bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    pairs = key[first]
-    pair_of_entry = np.empty_like(order)
-    pair_of_entry[order] = first.cumsum() - 1
+    pairs, pair_of_entry = np.unique(as_p.take(gen.rows) + as_q.take(gen.cols), return_inverse=True)
     shape, p_blocks, q_blocks = pairs // (n * n), pairs // n % n, pairs % n
     sizes = np.array([index.shape[1] for index, _ in blocks])
     size_q = sizes[shape % groups]

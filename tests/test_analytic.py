@@ -1,4 +1,7 @@
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,11 @@ from cghz.analytic import (
 )
 from cghz.errors import InputError
 from cghz.states import BlockConfig
+
+# the exact rational reference, loaded by file path: perfbench/ is not a package
+_SPEC = importlib.util.spec_from_file_location("exact", Path(__file__).parents[1] / "perfbench" / "exact.py")
+exact = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(exact)
 
 
 class TestCoherenceNormBlock:
@@ -85,6 +93,13 @@ class TestCoherenceNorm:
                     coherence_norm_block(2 * j + 2, p), abs=1e-14
                 )
 
+    @pytest.mark.parametrize("p", [0.0, 1 / 64, 1 / 2, 7 / 8])
+    def test_binomials_beyond_the_float_range(self, p):
+        # from m = 1029 on, 2 C(m, k) overflows a float
+        for m in (1028, 1029, 1030):
+            want = exact.coherence_norm(3, m, Fraction(p))
+            assert coherence_norm(BlockConfig(3, m), p) == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestCoherenceBound:
     @pytest.mark.parametrize("cfg", [BlockConfig(1, 1), BlockConfig(10, 3), BlockConfig(100, 7)])
@@ -109,6 +124,11 @@ class TestCoherenceBound:
         # is documented, this is not a bug)
         assert coherence_bound(BlockConfig(1, 1), 0.0) > coherence_norm(BlockConfig(1, 1), 0.0)
         assert coherence_bound(BlockConfig(1, 2), 0.0) < 0
+
+    def test_power_beyond_the_float_range_is_an_input_error(self):
+        # the base is about -24.2 here, and its 1000th power is about 1e1384
+        with pytest.raises(InputError, match="float range"):
+            coherence_bound(BlockConfig(1000, 1000), 0.0)
 
 
 class TestDistillFidelity:
@@ -135,6 +155,12 @@ class TestDistillFidelity:
     def test_flagship_size(self):
         f = distill_fidelity(BlockConfig(10**12, 10), 0.9)
         assert 0.5 < f < 0.65
+
+    # (a^m + b^m)^2 underflows at each of these; the last keeps a nontrivial tail r^N
+    @pytest.mark.parametrize("n_blocks, m, p", [(3, 539, 0.0), (3, 648, 1 / 8), (3, 1296, 1 / 2), (10**8, 600, 1 / 64)])
+    def test_block_weights_below_the_float_range(self, n_blocks, m, p):
+        want = exact.distill_fidelity(n_blocks, m, Fraction(p))
+        assert distill_fidelity(BlockConfig(n_blocks, m), p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestDistillThreshold:

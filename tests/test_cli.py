@@ -176,6 +176,14 @@ class TestExitCodes:
                 ("eval", "coherence", "--N", "2", "--m", "1", "--kappa", "-1", "--t", "-1"),
                 "input error: kappa and t must be nonnegative",
             ),
+            # nan passes a sign check, and an infinite factor makes kappa*t inf or nan
+            *(
+                (
+                    ("eval", "coherence", "--N", "3", "--m", "3", "--kappa", kappa, "--t", t),
+                    "input error: kappa and t must be nonnegative and finite",
+                )
+                for kappa, t in [("inf", "0"), ("nan", "1"), ("1", "nan"), ("1e200", "1e200")]
+            ),
             # only random-compare draws random numbers, so only it takes --seed
             (
                 ("eval", "coherence", "--N", "3", "--m", "2", "--p", "0.9", "--seed", "3"),
@@ -200,6 +208,7 @@ class TestExitCodes:
             ),
         ],
         ids=["p-with-rate", "threshold-cap", "samples", "random-m-zero", "random-m-negative", "negative-rate",
+             "infinite-rate", "nan-rate", "nan-time", "rate-time-overflow",
              "eval-seed", "sweep-seed", "synthesize-seed", "sweep-two-axes", "sweep-no-axis"],
     )
     def test_malformed_option_value(self, capsys, argv, message):
@@ -370,6 +379,19 @@ class TestSweep:
         failed = [ln for ln in lines if ln.split(",")[1] == "13"]
         assert ok[0].split(",")[5] != ""
         assert "oracle" in failed[0].split(",")[6]
+
+    def test_values_beyond_the_float_range(self, capsys):
+        # 2 C(m, k) overflows a float from m = 1029 on, and the bound's
+        # (-24.2...)^1000 leaves the float range: its row records the error
+        code, out, _ = run(capsys, "sweep", "coherence", "--n-list", "2,3", "--m", "1028,1029", "--p", "0.5")
+        assert code == 0
+        assert [ln.split(",")[5:] for ln in out.splitlines()[1:]] == [["1.0000000000000000e+00", ""]] * 4
+        code, out, _ = run(capsys, "sweep", "bound", "--n-list", "10,1000", "--m", "1000", "--p", "0")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["10", "1000"]
+        assert rows[0][5] != "" and rows[0][6] == ""
+        assert rows[1][5] == "" and "float range" in rows[1][6]
 
     def test_fit_on_power_of_two_axis(self, capsys):
         code, out, _ = run(

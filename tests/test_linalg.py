@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,107 @@ class TestDirectSumBlocks:
             linalg.sparse(np.ones((2, 3)))
         with pytest.raises(InputError):
             linalg.sparse(np.ones(4))
+
+
+def repeated_row_block(rng, size, distinct, zeros, ulp_pair, complex_):
+    """A block whose rows are `distinct` random rows, each at random positions, with `zeros` rows set to 0.
+
+    With ulp_pair the second random row is the first with one entry one ulp
+    further from zero.  Every nonzero row is dense, so the block is one
+    direct-sum block.
+    """
+    base = rng.standard_normal((distinct, size)) + (1j * rng.standard_normal((distinct, size)) if complex_ else 0)
+    if ulp_pair and distinct > 1:
+        base[1] = base[0]
+        base[1, 0] += np.spacing(base[0, 0].real)
+    block = base[rng.permutation(np.arange(size) % distinct)]
+    block[rng.permutation(size)[:zeros]] = 0
+    return block
+
+
+def distinct_rows(block):
+    return len({row.tobytes() for row in block})
+
+
+merge_blocks = st.lists(
+    # block size, distinct rows, zero rows, a pair of rows one ulp apart
+    st.tuples(st.integers(2, 5), st.integers(1, 5), st.integers(0, 2), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestMergedRows:
+    @settings(max_examples=80, deadline=None)
+    @given(merge_blocks, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_merge_keeps_the_singular_values(self, blocks, complex_, seed):
+        # the SVD sees each stack with its blocks' bitwise-equal rows merged,
+        # and a stack with a block of distinct rows as it is
+        rng = np.random.default_rng(seed)
+        mat = permuted_direct_sum(
+            rng, [repeated_row_block(rng, s, min(d, s), min(z, s - 1), ulp, complex_) for s, d, z, ulp in blocks]
+        )
+        mat = mat if complex_ else mat.real.copy()
+        op = sparse(mat)
+        stacks = [stack for _, stack in linalg.direct_sum_blocks(op)]
+        widths = [max(distinct_rows(block) for block in stack) for stack in stacks]
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = linalg.trace_norm(op)
+        seen = [call.args[0] for call in svd.call_args_list]
+        assert len(seen) == len(stacks)
+        for got, stack, u in zip(seen, stacks, widths):
+            k, s, _ = stack.shape
+            if u == s:
+                assert got.shape == stack.shape and got.tobytes() == stack.tobytes()
+            else:
+                assert got.shape == (k, u, s)
+        ref = np.sum(np.linalg.svd(mat, compute_uv=False))
+        assert abs(value - ref) <= 1e-12 * ref
+        if all(u == stack.shape[1] for stack, u in zip(stacks, widths)):
+            assert value == float(sum(np.sum(np.linalg.svd(stack, compute_uv=False)) for stack in stacks))
+        # at 8 entries per run the row comparisons and gathers go in many runs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "ENTRY_RUN", 8)
+            assert linalg.trace_norm(op) == value
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rows_one_ulp_apart_stay_apart(self, complex_):
+        rng = np.random.default_rng(5)
+        block = repeated_row_block(rng, 4, 2, 0, True, complex_)
+        block = block if complex_ else block.real.copy()
+        assert distinct_rows(block) == 2
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = linalg.trace_norm(sparse(block))
+        assert svd.call_args.args[0].shape == (1, 2, 4)
+        assert abs(value - np.sum(np.linalg.svd(block, compute_uv=False))) <= 1e-12 * value
+
+    def test_equal_blocks_merge_apart(self):
+        # three copies of one rank-one block: every row of the stack is the
+        # same, but rows of different blocks never merge
+        row = np.random.default_rng(7).standard_normal(4)
+        mat = np.kron(np.eye(3), np.outer(np.ones(4), row))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = linalg.trace_norm(sparse(mat))
+        assert svd.call_args.args[0].shape == (3, 1, 4)
+        assert value == pytest.approx(6 * np.linalg.norm(row), rel=1e-14)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex64])
+    def test_merged_rows_of_any_dtype(self, dtype):
+        # the merged rows carry square roots of counts, so integer rows become floats
+        mat = np.kron(np.eye(2), np.ones((5, 5))).astype(dtype)
+        assert linalg.trace_norm(sparse(mat)) == pytest.approx(10.0, rel=1e-6)
+
+    def test_rows_with_equal_keys_stay_apart(self):
+        # a sign flip adds 2^63 times an odd weight to a row's key, so two flips
+        # leave it unchanged: only the bits tell the row and its partner apart
+        rng = np.random.default_rng(6)
+        row = rng.standard_normal(6)
+        partner = row * [-1, -1, 1, 1, 1, 1]
+        mat = np.array([row, partner, partner, row, row, partner])
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = linalg.trace_norm(sparse(mat))
+        assert svd.call_args.args[0].shape[1] >= 2
+        assert abs(value - np.sum(np.linalg.svd(mat, compute_uv=False))) <= 1e-12 * value
 
 
 def unsplit_fisher(rho, gen):

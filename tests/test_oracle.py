@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from functools import reduce
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ class TestDecoheredCoherence:
         one = oracle.coherence_norm(BlockConfig(1, 2), 0.8)
         two = oracle.coherence_norm(BlockConfig(2, 2), 0.8)
         assert two == pytest.approx(one**2, abs=1e-10)
+
+    @pytest.mark.parametrize("N", [9, 10, 11])
+    @pytest.mark.parametrize("p", [1 / 64, 0.5, 0.9, 1.0])
+    def test_m1_norm_matches_the_closed_form(self, N, p):
+        # every row of the m = 1 operator is the same, so its block reaches
+        # the SVD as one row: 2^q - 1 spurious singular values put the full
+        # SVD 1e-13 to 5e-13 relative off
+        cfg = BlockConfig(N, 1)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = oracle.coherence_norm(cfg, p)
+        assert [call.args[0].shape for call in svd.call_args_list] == [(1, 1, 2**N)]
+        ref = analytic.coherence_norm(cfg, p)
+        assert abs(value - ref) <= 2e-14 * ref
+
+    def test_m1_norm_peak_memory(self):
+        # the (10, 1) operator holds 2^20 entries; the merged rows add no full-size temporary
+        tracemalloc.start()
+        try:
+            oracle.coherence_norm(BlockConfig(10, 1), 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestGenericCoherenceNorm:
@@ -304,8 +328,9 @@ def test_generators_are_hermitian():
         lambda cfg: oracle.fisher(cfg, 0.7),
         lambda cfg: oracle.fisher(cfg, 0.7, generator="single-z"),
         lambda cfg: oracle.negativity(cfg, 0.7),
+        lambda cfg: oracle.coherence_norm(cfg, 0.7),
     ],
-    ids=["fisher-block-x", "fisher-single-z", "negativity"],
+    ids=["fisher-block-x", "fisher-single-z", "negativity", "coherence"],
 )
 def test_twelve_qubit_oracle_peak_memory(call):
     # at (4, 3) one dense 2^12 x 2^12 float matrix would take 128 MB

@@ -283,6 +283,8 @@ def _cmd_random_compare(args):
         raise _UsageError(f"random-compare is specified for 1 <= m <= 4, got {args.m}")
     if args.samples < 0:
         raise _UsageError(f"--samples must be >= 0, got {args.samples}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     reference = oracle.generic_coherence_norm(ghz(args.m, +1), ghz(args.m, -1), p)
     rows = ["sample,value"]
     values = []
@@ -290,7 +292,7 @@ def _cmd_random_compare(args):
         if k == 0:
             value = reference  # sample 0 is the GHZ block pair itself
         else:
-            a, b = random_orthogonal_pair(args.m, args.seed + k)
+            a, b = random_orthogonal_pair(args.m, (args.seed, k))  # one seed sequence per (seed, sample)
             value = oracle.generic_coherence_norm(a, b, p)
         values.append(value)
         rows.append(f"{k},{_fmt_value(value)}")

@@ -9,10 +9,11 @@ the input, so real operators get real LAPACK routines.  Hermiticity is never
 assumed (coherence operators are not Hermitian); each function states its own
 requirements.  The decompositions split an operator along the exact block
 structure of its own entries (`direct_sum_blocks`) and hand each block size to
-LAPACK as one batched call on a dense (k, s, s) stack; trace norms see
-(k, u, s) stacks, with each block's exactly equal rows merged.
+LAPACK as one batched call on a dense (k, s, s) stack; a trace norm sees a
+stack whose every block repeats one row, bit for bit, as that row.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -102,36 +103,27 @@ def kron_all(ops):
 def trace_norm(op):
     """Sum of singular values of a (not necessarily Hermitian) square operator.
 
-    A full SVD of each (k, u, s) stack of merged block rows: M^dagger M would
-    square the condition number, ~1e-8 absolute error per near-zero value.
+    A full SVD of each block stack, or of its one row (`_repeated_row`): M^dagger M
+    would square the condition number, ~1e-8 absolute error per near-zero value.
     """
-    return float(sum(np.linalg.svd(_merged_rows(stack), compute_uv=False).sum() for _, stack in direct_sum_blocks(op)))
+    return float(sum(np.linalg.svd(_repeated_row(stack), compute_uv=False).sum() for _, stack in direct_sum_blocks(op)))
 
 
-def _merged_rows(stack):
-    """Each block's distinct rows times the roots of their counts: a (k, u, s) stack with the singular values of the (k, s, s) one.
+def _repeated_row(stack):
+    """A (k, s, s) stack whose every block is ones(s) r as its (k, 1, s) rows sqrt(s) r; any other stack as it is.
 
-    A block is D R with D^T D = diag(counts).  Rows merge only when all their
-    bits agree, and a stack with a block of s distinct rows comes back as is.
+    ones(s) r has the one singular value sqrt(s) |r|.  Rows repeat only when
+    all their bits agree, compared in runs of at most ENTRY_RUN entries.
     """
     k, s, _ = stack.shape
-    bits = stack.view(f"u{stack.real.itemsize}").reshape(k * s, -1)
-    keys = bits @ np.arange(1, 2 * bits.shape[1], 2, dtype=bits.dtype)  # wrapping integer dot products: equal rows, equal keys
-    if len(set(keys[:s].tolist())) == s:
-        return stack
-    # rows by block, then by key; a row joins the one before it in its block when their keys and bits agree
-    order = (keys.reshape(k, s).argsort() + np.arange(0, k * s, s)[:, None]).ravel()
-    pairs = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]) & (np.arange(1, k * s) % s != 0))
-    run, start = max(1, ENTRY_RUN // bits.shape[1]), np.ones((k, s), bool)
-    for t in np.split(pairs, range(run, pairs.size, run)):
-        start.flat[t[(bits[order[t]] == bits[order[t + 1]]).all(axis=1)] + 1] = False
-    if (u := int(start.sum(axis=1).max())) == s:
-        return stack
-    first, out = np.flatnonzero(start), np.zeros((k * u, s), np.result_type(stack, 1.0))
-    count, slot = np.diff(first, append=k * s), first // s * u + start.cumsum(axis=1).ravel()[first] - 1
-    for i in range(0, first.size, run):
-        out[slot[i : i + run]] = stack.reshape(k * s, s)[order[first[i : i + run]]] * np.sqrt(count[i : i + run, None])
-    return out.reshape(k, u, s)
+    bits = stack.view(f"u{stack.real.itemsize}")
+    rows = max(1, ENTRY_RUN // bits.shape[2])  # a run holds these rows of one block, or whole blocks
+    blocks = max(1, rows // s)
+    for i in range(0, k, blocks):
+        for j in range(0, s, rows):
+            if not (bits[i : i + blocks, j : j + rows] == bits[i : i + blocks, :1]).all():
+                return stack
+    return stack[:, :1] * math.sqrt(s)
 
 
 def partial_transpose(op, qubits):

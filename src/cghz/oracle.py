@@ -236,8 +236,9 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
 
-    # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every B_ab
-    rho = _even_string_sum(_logical_blocks(cfg.m, p)[:, :, [0, -1]][..., [0, -1]], cfg.N)
+    # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every
+    # B_ab, and the channel acts qubit by qubit: corner (c, d) of B_ab is E(|a><b|)_cd to the m-th power
+    rho = _even_string_sum(depolarize_all(np.eye(4).reshape(2, 2, 2, 2), p) ** cfg.m, cfg.N)
 
     # the kept blocks 0 and 1 lead the index, as (kept pair, record); the
     # measured logical states are basis vectors, so the state conditioned on

@@ -1,3 +1,4 @@
+import decimal
 import importlib.util
 import math
 from fractions import Fraction
@@ -200,6 +201,47 @@ class TestDistillThreshold:
     def test_rejects_p_one(self):
         with pytest.raises(InputError):
             distill_threshold(2, 1.0)
+
+
+def decimal_threshold(m, p):
+    """The largest N >= 2 with u^2 (1 + r^(N-2)) + r^N > 1, that is F(N) > 1/2, in 60-digit decimal arithmetic.
+
+    u = p^m / d and r = o / d with d = a^m + b^m and o = a^m - b^m; the root
+    is found by doubling and bisection on N, with r^N = exp(N ln r).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = decimal.Decimal(p)  # exact: the float is dyadic
+        a, b = (1 + p) / 2, (1 - p) / 2
+        d, o = a**m + b**m, a**m - b**m
+        u_squared, log_r = (p**m / d) ** 2, (o / d).ln()
+
+        def above(n):
+            return u_squared * (1 + ((n - 2) * log_r).exp()) + (n * log_r).exp() > 1
+
+        lo, hi = 2, 4
+        while above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        return lo
+
+
+class TestThresholdNearOneHalf:
+    # m = 40, p = 0.609375 = 39/64: F(N) - 1/2 falls below the rounding of 1/2
+    # long before the threshold, so the float test F(N) > 1/2 has no single crossing
+    M, P, EXACT = 40, 0.609375, 863930646498041
+
+    def test_decimal_reference(self):
+        assert decimal_threshold(2, 0.9) == distill_threshold(2, 0.9).value
+        assert decimal_threshold(self.M, self.P) == self.EXACT
+        # the float F is not above 1/2 at the exact answer, so no test of the float F can find it
+        assert distill_fidelity(BlockConfig(self.EXACT, self.M), self.P) <= 0.5
+
+    @pytest.mark.xfail(strict=True, reason="distill_threshold bisects on the rounded test F(N) > 1/2")
+    def test_threshold_matches_the_decimal_root(self):
+        assert distill_threshold(self.M, self.P).value == self.EXACT
 
 
 class TestFitExponentialTail:

@@ -32,6 +32,12 @@ class TestEval:
         value = int(out.splitlines()[1].split(",")[5])
         assert value >= 10**12
 
+    def test_threshold_none(self, capsys):
+        # at p = 0 the exact F(2) is 1/4: no N distills
+        code, out, _ = run(capsys, "eval", "threshold", "--m", "3", "--p", "0")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[5] == "none"
+
     def test_threshold_record_ignores_n(self, capsys):
         # the threshold is the largest distillable N, so --N leaves its record as it is
         without = run(capsys, "eval", "threshold", "--m", "3", "--p", "0.9")
@@ -164,6 +170,10 @@ class TestExitCodes:
                 "usage error: --samples must be >= 0",
             ),
             (
+                ("random-compare", "--m", "3", "--p", "0.9", "--samples", "2", "--seed", "-1"),
+                "usage error: --seed must be >= 0, got -1",
+            ),
+            (
                 ("random-compare", "--m", "0", "--samples", "2", "--p", "0.9"),
                 "usage error: random-compare is specified for 1 <= m <= 4, got 0",
             ),
@@ -207,7 +217,7 @@ class TestExitCodes:
                 "usage error: one of the arguments --n-range --n-list --n-pow2 is required",
             ),
         ],
-        ids=["p-with-rate", "threshold-cap", "samples", "random-m-zero", "random-m-negative", "negative-rate",
+        ids=["p-with-rate", "threshold-cap", "samples", "random-seed-negative", "random-m-zero", "random-m-negative", "negative-rate",
              "infinite-rate", "nan-rate", "nan-time", "rate-time-overflow",
              "eval-seed", "sweep-seed", "synthesize-seed", "sweep-two-axes", "sweep-no-axis"],
     )
@@ -449,6 +459,16 @@ class TestRandomCompare:
         assert doc["seed"] == summary["seed"] == 0
         assert summary["exceed_count"] == 0
         assert summary["max_random"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_seeds_share_no_sample(self, tmp_path, capsys):
+        # sample k draws from the seed sequence (seed, k), so neighbouring seeds do not overlap
+        samples = []
+        for seed in ("5", "6"):
+            path = tmp_path / f"{seed}.csv"
+            run(capsys, "random-compare", "--m", "3", "--samples", "20", "--p", "0.9", "--seed", seed, "--out", str(path))
+            samples.append({line.split(",")[1] for line in path.read_text().splitlines()[2:]})
+        assert len(samples[0]) == len(samples[1]) == 20
+        assert not samples[0] & samples[1]
 
     def test_deterministic_per_seed(self, tmp_path, capsys):
         outs = []

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -147,6 +148,13 @@ class TestKron:
         assert len(set(zip(out.rows.tolist(), out.cols.tolist()))) == out.vals.size and np.all(out.vals != 0)
         np.testing.assert_array_equal(dense(out), ref)
 
+    def test_underflowing_products_are_left_out(self):
+        # 1e-200 * 1e-200 underflows to an exact zero, which no entry lists
+        a = np.array([[1e-200, 2.0], [0.0, 3.0]])
+        out = linalg.kron_all([sparse(a), sparse(a)])
+        assert out.vals.size == 8 and np.all(out.vals != 0)
+        np.testing.assert_array_equal(dense(out), np.kron(a, a))
+
     def test_identity(self):
         np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
@@ -280,42 +288,50 @@ def distinct_rows(block):
 
 
 merge_blocks = st.lists(
-    # block size, distinct rows, zero rows, a pair of rows one ulp apart
-    st.tuples(st.integers(2, 5), st.integers(1, 5), st.integers(0, 2), st.booleans()),
+    # block size, one repeated row or several, distinct rows, zero rows, a pair of rows one ulp apart
+    st.tuples(st.integers(2, 5), st.booleans(), st.integers(2, 5), st.integers(0, 2), st.booleans()),
     min_size=1,
     max_size=8,
 )
 
 
+def svd_inputs(op):
+    """trace_norm(op) and the arrays it hands to np.linalg.svd."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        value = linalg.trace_norm(op)
+    return value, [call.args[0] for call in svd.call_args_list]
+
+
 class TestMergedRows:
+    """A stack whose every block repeats one row, bit for bit, reaches the SVD as that row times sqrt(s)."""
+
     @settings(max_examples=80, deadline=None)
     @given(merge_blocks, st.booleans(), st.integers(0, 2**32 - 1))
     def test_merge_keeps_the_singular_values(self, blocks, complex_, seed):
-        # the SVD sees each stack with its blocks' bitwise-equal rows merged,
-        # and a stack with a block of distinct rows as it is
+        # each stack whose blocks all repeat one row reaches the SVD as
+        # stack[:, :1] * sqrt(s), and every other stack as the same bytes
         rng = np.random.default_rng(seed)
         mat = permuted_direct_sum(
-            rng, [repeated_row_block(rng, s, min(d, s), min(z, s - 1), ulp, complex_) for s, d, z, ulp in blocks]
+            rng,
+            [
+                repeated_row_block(rng, s, 1, 0, False, complex_) if one else repeated_row_block(rng, s, min(d, s), min(z, s - 1), ulp, complex_)
+                for s, one, d, z, ulp in blocks
+            ],
         )
         mat = mat if complex_ else mat.real.copy()
         op = sparse(mat)
         stacks = [stack for _, stack in linalg.direct_sum_blocks(op)]
-        widths = [max(distinct_rows(block) for block in stack) for stack in stacks]
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            value = linalg.trace_norm(op)
-        seen = [call.args[0] for call in svd.call_args_list]
+        repeated = [all(distinct_rows(block) == 1 for block in stack) for stack in stacks]
+        value, seen = svd_inputs(op)
         assert len(seen) == len(stacks)
-        for got, stack, u in zip(seen, stacks, widths):
-            k, s, _ = stack.shape
-            if u == s:
-                assert got.shape == stack.shape and got.tobytes() == stack.tobytes()
-            else:
-                assert got.shape == (k, u, s)
+        for got, stack, one in zip(seen, stacks, repeated):
+            want = stack[:, :1] * math.sqrt(stack.shape[1]) if one else stack
+            assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
         ref = np.sum(np.linalg.svd(mat, compute_uv=False))
         assert abs(value - ref) <= 1e-12 * ref
-        if all(u == stack.shape[1] for stack, u in zip(stacks, widths)):
+        if not any(repeated):
             assert value == float(sum(np.sum(np.linalg.svd(stack, compute_uv=False)) for stack in stacks))
-        # at 8 entries per run the row comparisons and gathers go in many runs
+        # at 8 entries per run the row comparisons go in many runs
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "ENTRY_RUN", 8)
             assert linalg.trace_norm(op) == value
@@ -326,38 +342,55 @@ class TestMergedRows:
         block = repeated_row_block(rng, 4, 2, 0, True, complex_)
         block = block if complex_ else block.real.copy()
         assert distinct_rows(block) == 2
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            value = linalg.trace_norm(sparse(block))
-        assert svd.call_args.args[0].shape == (1, 2, 4)
+        value, seen = svd_inputs(sparse(block))
+        assert len(seen) == 1 and seen[0].shape == (1, 4, 4) and seen[0].tobytes() == block.tobytes()
         assert abs(value - np.sum(np.linalg.svd(block, compute_uv=False))) <= 1e-12 * value
 
     def test_equal_blocks_merge_apart(self):
         # three copies of one rank-one block: every row of the stack is the
-        # same, but rows of different blocks never merge
+        # same, and each block reaches the SVD as its own row
         row = np.random.default_rng(7).standard_normal(4)
         mat = np.kron(np.eye(3), np.outer(np.ones(4), row))
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            value = linalg.trace_norm(sparse(mat))
-        assert svd.call_args.args[0].shape == (3, 1, 4)
+        value, seen = svd_inputs(sparse(mat))
+        assert [got.shape for got in seen] == [(3, 1, 4)]
         assert value == pytest.approx(6 * np.linalg.norm(row), rel=1e-14)
 
     @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex64])
     def test_merged_rows_of_any_dtype(self, dtype):
-        # the merged rows carry square roots of counts, so integer rows become floats
+        # the row is scaled by a Python float: float32 and complex64 keep
+        # their dtype, integer and bool rows become float64
         mat = np.kron(np.eye(2), np.ones((5, 5))).astype(dtype)
-        assert linalg.trace_norm(sparse(mat)) == pytest.approx(10.0, rel=1e-6)
+        value, seen = svd_inputs(sparse(mat))
+        assert [(got.shape, got.dtype) for got in seen] == [((2, 1, 5), np.result_type(dtype, 1.0))]
+        assert value == pytest.approx(10.0, rel=1e-6)
 
-    def test_rows_with_equal_keys_stay_apart(self):
-        # a sign flip adds 2^63 times an odd weight to a row's key, so two flips
-        # leave it unchanged: only the bits tell the row and its partner apart
+    def test_sign_flipped_partner_is_no_repeated_row(self):
+        # a row and its sign-flipped partner do not make a repeated-row block
         rng = np.random.default_rng(6)
         row = rng.standard_normal(6)
         partner = row * [-1, -1, 1, 1, 1, 1]
         mat = np.array([row, partner, partner, row, row, partner])
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            value = linalg.trace_norm(sparse(mat))
-        assert svd.call_args.args[0].shape[1] >= 2
+        value, seen = svd_inputs(sparse(mat))
+        assert [got.shape for got in seen] == [(1, 6, 6)]
         assert abs(value - np.sum(np.linalg.svd(mat, compute_uv=False))) <= 1e-12 * value
+
+    def test_signed_zeros_differ(self):
+        # rows equal in value but not in the sign of one zero imaginary part
+        mat = np.outer(np.ones(4), np.random.default_rng(8).standard_normal(4) + 0j)
+        mat[2, 1] = complex(mat[2, 1].real, -0.0)
+        value, seen = svd_inputs(sparse(mat))
+        assert [got.shape for got in seen] == [(1, 4, 4)]
+        assert abs(value - np.sum(np.linalg.svd(mat, compute_uv=False))) <= 1e-12 * value
+
+    def test_mixed_stack_reaches_lapack_unchanged(self):
+        # one block repeats a row and one of the same size does not
+        rng = np.random.default_rng(9)
+        mat = permuted_direct_sum(rng, [np.outer(np.ones(3), rng.standard_normal(3)), rng.standard_normal((3, 3))]).real.copy()
+        op = sparse(mat)
+        [(_, stack)] = linalg.direct_sum_blocks(op)
+        value, seen = svd_inputs(op)
+        assert len(seen) == 1 and seen[0].shape == (2, 3, 3) and seen[0].tobytes() == stack.tobytes()
+        assert value == float(np.sum(np.linalg.svd(stack, compute_uv=False)))
 
 
 def unsplit_fisher(rho, gen):

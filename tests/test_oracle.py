@@ -132,8 +132,15 @@ class TestDecoheredCoherence:
         ref = analytic.coherence_norm(cfg, p)
         assert abs(value - ref) <= 2e-14 * ref
 
+    def test_pure_block_reaches_the_svd_as_one_row(self):
+        # at p = 1 the (4, 2) operator is |GHZ+><GHZ-|^(x)4: its 16-row block repeats one row
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = oracle.coherence_norm(BlockConfig(4, 2), 1.0)
+        assert [call.args[0].shape for call in svd.call_args_list] == [(240, 1, 1), (1, 1, 16)]
+        assert value == pytest.approx(1.0, abs=1e-14)
+
     def test_m1_norm_peak_memory(self):
-        # the (10, 1) operator holds 2^20 entries; the merged rows add no full-size temporary
+        # the (10, 1) operator holds 2^20 entries; the repeated-row test adds no full-size temporary
         tracemalloc.start()
         try:
             oracle.coherence_norm(BlockConfig(10, 1), 0.9)

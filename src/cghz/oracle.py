@@ -1,14 +1,15 @@
 """Brute-force ground truth for small systems (up to 12 qubits).
 
 Every quantity here comes from the explicit 2^(Nm)-dimensional operators,
-held as their exactly nonzero entries (`linalg.Sparse`), never as a
-2^q x 2^q array beyond the dense 2^m x 2^m logical blocks (all of q at N = 1):
-the decohered state and coherence operator, their trace norms / negativities
-/ Fisher information, and an exhaustive-outcome simulation of the
-projection-and-measurement distillation protocol.  No doublet algebra is
-used.  The decompositions run on the exact direct-sum blocks of each
-operator's own entries.  The analytic and spectral engines are certified
-against this module on the overlap domain.
+held as their exactly nonzero entries (`linalg.Sparse`): the decohered
+state and coherence operator, their trace norms / negativities / Fisher
+information, and an exhaustive-outcome simulation of the
+projection-and-measurement distillation protocol.  The state and the
+protocol are built from the channel on one qubit; the one dense array is
+the channelled 2^m x 2^m coherence block (all of q at N = 1).  No doublet
+algebra is used.  The decompositions run on the exact direct-sum blocks of
+each operator's own entries.  The analytic and spectral engines are
+certified against this module on the overlap domain.
 """
 
 import math
@@ -30,39 +31,46 @@ def decohered_cghz(cfg: BlockConfig, p):
     The state is 2^((1-N)/2) sum_x |x_L> over the even-weight logical strings
     x, and the channel on all qubits is the channel on one block, N times.  So
     the result is 2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k}, where the four
-    2^m x 2^m matrices B_ab = E^(x)m(|a_L><b_L|) come from one
-    `depolarize_all` call (one block is B_00: the state is then |0_L>).
+    2^m x 2^m block operators B_ab = E(|a><b|)^(x)m come from the channel on
+    one qubit (one block is B_00: the state is then |0_L>).
     """
     linalg.check_qubit_budget(cfg.qubits, what="decohered state")
-    return _even_string_sum(_logical_blocks(cfg.m, p), cfg.N)
+    return _even_string_sum(_one_qubit(p), cfg.m, cfg.N)
 
 
-def _logical_blocks(m, p):
-    """The (2, 2, 2^m, 2^m) stack B_ab = E^(x)m(|a_L><b_L|), with |0_L> = |0...0> and |1_L> = |1...1>."""
-    logical = np.zeros((2, 2, 2**m, 2**m))
-    logical[(0, 0, 1, 1), (0, 1, 0, 1), (0, 0, -1, -1), (0, -1, 0, -1)] = 1.0
-    return depolarize_all(logical, p)
+def _one_qubit(p):
+    """The channel on one qubit as a 4 x 4 table: entry [2c + d, 2a + b] is E(|a><b|)_cd."""
+    return depolarize_all(np.eye(4).reshape(4, 2, 2), p).reshape(4, 4).T
 
 
 # _XOR[h, g] = h ^ g: a new block of parity pair g takes a prefix of pair h ^ g to h
 _XOR = np.arange(4)[:, None] ^ np.arange(4)
+# the one-qubit slots (0, 0), (0, 1), (1, 0), (1, 1), in the row order 2c + d of the one-qubit table
+_UNIT = np.indices((2, 2), dtype=linalg.INDEX).reshape(2, 4)
 
 
-def _even_string_sum(blocks, N):
-    """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks for a (2, 2, d, d) stack B, as entries.
+def _even_string_sum(one, m, N):
+    """2^(1-N) sum_{x, y even} (x)_k B_{x_k y_k} over N blocks of m qubits, B_ab = E(|a><b|)^(x)m, as entries.
 
-    One block at a time, from the empty prefix S_00 = 1: the partial sums S_h
-    over the prefixes whose ket and bra parities are the pair h = 2a + b grow
-    as S'_h = sum_g B_g (x) S_(h^g), the new block leading, in the S slots
-    (i, j) where some B_g is exactly nonzero.  With the slot values as an
-    (S, 4) matrix W, that is one product W S_(h^g) per block.  The four S_h
-    share one coordinate list, which each block extends slot by slot, so no
-    coordinate repeats and nothing is sorted.  Every term is non-negative, so
-    the exact zeros are those of the literal E^(x)q(|psi><psi|).
+    `one` is the one-qubit table W1[2c + d, 2a + b] = E(|a><b|)_cd.  The
+    block's slot table, the slots (i, j) where some B_ab is exactly nonzero
+    and their (S, 4) values W, grows one qubit at a time, the new qubit
+    leading, and drops the slots whose four values are all exactly zero
+    (a product with an exact zero stays zero).  Then one block at a time,
+    from the empty prefix S_00 = 1: the partial sums S_h over the prefixes
+    whose ket and bra parities are the pair h = 2a + b grow as
+    S'_h = sum_g B_g (x) S_(h^g), the new block leading, which is one product
+    W S_(h^g) per block.  The four S_h share one coordinate list, which each
+    block extends slot by slot, so no coordinate repeats and nothing is
+    sorted.  Every term is non-negative, so the exact zeros are those of the
+    literal E^(x)q(|psi><psi|).
     """
-    dim_b = blocks.shape[-1]
-    slot_coords = np.array(np.nonzero(blocks.any(axis=(0, 1))), dtype=linalg.INDEX)
-    weights = blocks[:, :, slot_coords[0], slot_coords[1]].reshape(4, -1).T
+    slot_coords, weights, dim_b = np.zeros((2, 1), linalg.INDEX), np.ones((1, 4)), 1
+    for _ in range(m):
+        slot_coords = (_UNIT[:, :, None] * dim_b + slot_coords[:, None, :]).reshape(2, -1)
+        weights = (one[:, None] * weights).reshape(-1, 4)
+        keep = weights.any(axis=1)
+        slot_coords, weights, dim_b = slot_coords.compress(keep, axis=1), weights[keep], 2 * dim_b
     sums, coords, dim = np.array([[1.0], [0.0], [0.0], [0.0]]), np.zeros((2, 1), linalg.INDEX), 1
     for _ in range(N - 1):
         sums = np.matmul(weights, sums[_XOR]).reshape(4, -1)
@@ -103,8 +111,7 @@ def generic_coherence_norm(a, b, p):
 
     By tensor multiplicativity of the trace norm, N blocks give its N-th power.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise InputError(f"state dimensions differ: {a.shape} vs {b.shape}")
     m = linalg.qubit_count(a.shape[0])
@@ -237,8 +244,9 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
     linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
 
     # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every
-    # B_ab, and the channel acts qubit by qubit: corner (c, d) of B_ab is E(|a><b|)_cd to the m-th power
-    rho = _even_string_sum(depolarize_all(np.eye(4).reshape(2, 2, 2, 2), p) ** cfg.m, cfg.N)
+    # B_ab, and the channel acts qubit by qubit: corner (c, d) of B_ab is E(|a><b|)_cd to the m-th power,
+    # so the projected block is a one-qubit block whose table is W1 to the m-th power
+    rho = _even_string_sum(_one_qubit(p) ** cfg.m, 1, cfg.N)
 
     # the kept blocks 0 and 1 lead the index, as (kept pair, record); the
     # measured logical states are basis vectors, so the state conditioned on

@@ -61,9 +61,8 @@ _LN2 = math.log(2.0)
 _LOG_ZERO = -1e290  # log 0, finite so that 0 log 0 = 0 in the class sums
 _TINY = 2.0**-900  # logical weights below this are rescaled from logarithms
 _E, _F = 0, 2  # power-table rows of e+ and f+; e- and f- follow each
-_BLOCK = 1 << 10  # pairs per vectorised block, gathered from the (n, h) table: bounds the temporaries
 _FSUM_TERMS = 1 << 11  # sums of fewer terms go to math.fsum, cheaper than the bucket sum's fixed numpy cost
-_CHUNK = 1 << 12  # terms per bucket pass: amortises its numpy calls and bounds its temporaries
+_CHUNK = 1 << 12  # pairs per block gathered from the (n, h) table, and terms per bucket pass: bounds the temporaries
 _FLUSH = 1 << 26  # terms per bucket accumulation (>= _CHUNK): 2^26 halves below 2^27 still sum exactly in float64
 _BUCKETS = 2046  # exponent buckets: the unit of bucket b is 2^(b - 1074), from subnormals to 2^971
 
@@ -168,7 +167,7 @@ def _bucket_sum(blocks):
     """
     total, count, top, since = 0, 0, 0, 0
     sums = np.zeros((2, _BUCKETS))  # whole parts, fractions
-    for x in _chunks(blocks):
+    for x in (block[i : i + _CHUNK] for block in blocks for i in range(0, block.size, _CHUNK)):
         if not np.isfinite(x).all():
             return None
         if since + x.size > _FLUSH:
@@ -183,21 +182,6 @@ def _bucket_sum(blocks):
         return None
     total += _bucket_int(sums)
     return total / (1 << 1074) if total else None
-
-
-def _chunks(blocks):
-    """The blocks' terms in consecutive arrays of _CHUNK terms, the last one shorter."""
-    pending, size = [], 0
-    for block in blocks:
-        pending.append(block)
-        size += block.size
-        if size >= _CHUNK:
-            joined = np.concatenate(pending) if len(pending) > 1 else block
-            cut = size - size % _CHUNK
-            yield from (joined[start : start + _CHUNK] for start in range(0, cut, _CHUNK))
-            pending, size = [joined[cut:]], size - cut
-    if size:
-        yield np.concatenate(pending)
 
 
 def _bucket_int(sums):
@@ -220,11 +204,11 @@ def _compositions(N, parts):
 
 
 def _runs(lengths):
-    """(item, offset) index arrays for every offset < lengths[item], item-major, in blocks of _BLOCK pairs."""
+    """(item, offset) index arrays for every offset < lengths[item], item-major, in blocks of _CHUNK pairs."""
     ends = lengths.cumsum()
     starts, total = ends - lengths, int(ends[-1]) if len(ends) else 0
-    for first in range(0, total, _BLOCK):
-        flat = np.arange(first, min(first + _BLOCK, total))
+    for first in range(0, total, _CHUNK):
+        flat = np.arange(first, min(first + _CHUNK, total))
         item = ends.searchsorted(flat, side="right")
         yield item, flat - starts[item]
 

@@ -156,6 +156,13 @@ class TestGenericCoherenceNorm:
             val = oracle.generic_coherence_norm(ghz(m, +1), ghz(m, -1), p)
             assert val == pytest.approx(analytic.coherence_norm_block(m, p), abs=1e-12)
 
+    def test_real_pair_stays_real(self):
+        # the m = 1 GHZ cross operator repeats one real row, so it reaches the SVD as one real row
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            value = oracle.generic_coherence_norm(ghz(1, +1), ghz(1, -1), 0.9)
+        assert [(call.args[0].shape, call.args[0].dtype) for call in svd.call_args_list] == [((1, 1, 2), np.float64)]
+        assert value == pytest.approx(analytic.coherence_norm_block(1, 0.9), rel=1e-15)
+
     def test_computational_pair_decays_like_p_to_m(self):
         m, p = 3, 0.8
         zero = np.zeros(2**m, dtype=complex)
@@ -348,6 +355,34 @@ def test_twelve_qubit_oracle_peak_memory(call):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# (oracle call, spectral call, absolute tolerance of the certify workload)
+ONE_BLOCK_PAIRS = {
+    "negativity": (oracle.negativity, spectral.negativity, 1e-9),
+    "fisher-block-x": (oracle.fisher, spectral.fisher_information, 1e-8),
+    "fisher-single-z": (
+        lambda cfg, p: oracle.fisher(cfg, p, generator="single-z"),
+        lambda cfg, p: spectral.fisher_information(cfg, p, generator="single-z"),
+        1e-8,
+    ),
+    "spectrum": (oracle.spectrum, lambda cfg, p: spectral.cghz_spectrum(cfg, p).expanded(), 1e-10),
+}
+
+
+@pytest.mark.parametrize("quantity", ONE_BLOCK_PAIRS)
+def test_one_twelve_qubit_block_builds_no_dense_array(quantity):
+    # at (1, 12) the state holds 4,096 entries; one dense 2^12 x 2^12 block operator would take 128 MB
+    dense_call, spectral_call, tol = ONE_BLOCK_PAIRS[quantity]
+    cfg = BlockConfig(1, 12)
+    tracemalloc.start()
+    try:
+        value = dense_call(cfg, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert np.max(np.abs(value - spectral_call(cfg, 0.9))) <= tol
 
 
 def test_pure_state_fisher_pairs_one_block_with_many():

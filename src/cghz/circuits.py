@@ -13,6 +13,7 @@ ZLayer(G)   exp(i (pi/2) sum_{k in G} sigma_z^k).  Conjugating a later MS
 Local(g, q) named single-qubit gate on qubit q.  Names: I, X, Y, Z, H, S,
             SDG, plus parametric phases "P<r>" with r a rational number,
             meaning diag(1, exp(i pi r)).
+Gates are named tuples: equal gates compare and hash equal, by value.
 
 Text format (one gate per line, bit-exact round trip):
 
@@ -28,7 +29,8 @@ pi/(4T) whose accumulated pair phases follow Walsh sign codes, with a
 Z layer between consecutive pulses toggling the blocks whose code bit
 flips.  Walsh rows are orthogonal, so inter-block phases cancel exactly
 while every intra-block pair accumulates pi/4.  The toggle masks (t-1)^t
-take log2 T distinct values and telescope: block b's sign at pulse t is
+take log2 T distinct values, so the coupler builds each distinct Z layer
+once, and they telescope: block b's sign at pulse t is
 (-1)^popcount(b & t).  The full preparation is MS(pi/4), a local layer
 rotating the resulting product-pair branches onto the z basis with a
 phase tuned so the two GHZ branches interleave correctly, the coupler,
@@ -42,6 +44,7 @@ qubit classes (a coupler block is one), O(G n + U^2 G) for G gates.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,18 +53,15 @@ from .errors import InputError
 from .states import BlockConfig, cghz
 
 
-@dataclass(frozen=True)
-class MSGate:
+class MSGate(NamedTuple):
     xi: Fraction  # units of pi
 
 
-@dataclass(frozen=True)
-class ZLayer:
+class ZLayer(NamedTuple):
     qubits: tuple
 
 
-@dataclass(frozen=True)
-class LocalGate:
+class LocalGate(NamedTuple):
     name: str
     qubit: int
 
@@ -153,21 +153,6 @@ def phase_matrix(circuit: Circuit):
     return PhaseMatrix(n=n, xi=xi)
 
 
-def _walsh_layers(N):
-    """(pulse count T, block tuples toggled between consecutive pulses).
-
-    The mask (t-1)^t depends only on the trailing zeros of t, so the T-1
-    layers repeat log2 T distinct tuples, each built once.
-    """
-    T = 1 << (N - 1).bit_length()
-    sets = {}
-    for t in range(1, T):
-        mask = (t - 1) ^ t
-        if mask not in sets:
-            sets[mask] = tuple(b for b in range(N) if (b & mask).bit_count() & 1)
-    return T, [sets[(t - 1) ^ t] for t in range(1, T)]
-
-
 def _pair_rotation(k4):
     """Gates mapping the branch pair (|+> +/- nu |->)/sqrt2 to (|0>, |1>), nu = (-i)^k4.
 
@@ -194,12 +179,16 @@ def synthesize_block_phase(cfg: BlockConfig):
     the count linear and the total MS phase at pi/4 regardless.
     """
     N, m = cfg.N, cfg.m
-    T, layers = _walsh_layers(N)
+    T = 1 << (N - 1).bit_length()
     pulse = MSGate(Fraction(1, 4 * T))
-    zlayer = {blocks: ZLayer(tuple(b * m + j for b in blocks for j in range(m))) for blocks in set(layers)}
-    gates = [pulse]
-    for blocks in layers:
-        gates += [zlayer[blocks], pulse]
+    # the mask (t-1)^t depends only on the trailing zeros of t, so the T-1
+    # layers repeat log2 T distinct ones, each built once
+    layers, gates = {}, [pulse]
+    for t in range(1, T):
+        mask = (t - 1) ^ t
+        if mask not in layers:
+            layers[mask] = ZLayer(tuple(b * m + j for b in range(N) if (b & mask).bit_count() & 1 for j in range(m)))
+        gates += [layers[mask], pulse]
     return Circuit(n=cfg.qubits, gates=tuple(gates))
 
 

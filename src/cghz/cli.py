@@ -286,16 +286,10 @@ def _cmd_random_compare(args):
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     reference = oracle.generic_coherence_norm(ghz(args.m, +1), ghz(args.m, -1), p)
-    rows = ["sample,value"]
-    values = []
-    for k in range(args.samples + 1):
-        if k == 0:
-            value = reference  # sample 0 is the GHZ block pair itself
-        else:
-            a, b = random_orthogonal_pair(args.m, (args.seed, k))  # one seed sequence per (seed, sample)
-            value = oracle.generic_coherence_norm(a, b, p)
-        values.append(value)
-        rows.append(f"{k},{_fmt_value(value)}")
+    values = [reference]  # sample 0 is the GHZ block pair itself
+    for k in range(1, args.samples + 1):
+        a, b = random_orthogonal_pair(args.m, (args.seed, k))  # one seed sequence per (seed, sample)
+        values.append(oracle.generic_coherence_norm(a, b, p))
     random_values = values[1:]
     # strict exceedance with headroom for trace-norm rounding noise
     exceed = sum(1 for v in random_values if v > reference + 1e-12)
@@ -310,7 +304,8 @@ def _cmd_random_compare(args):
         "exceed_fraction": exceed / args.samples if args.samples else 0.0,
     }
     if args.out:
-        _write_output("\n".join(rows) + "\n", args.out)
+        records = [{"sample": k, "value": v} for k, v in enumerate(values)]
+        _write_output(_csv(("sample", "value"), records), args.out)
     if args.json:
         sys.stdout.write(_json_envelope(args, [summary]))
     else:

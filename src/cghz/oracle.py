@@ -1,4 +1,4 @@
-"""Brute-force ground truth for small systems (up to 12 qubits).
+"""Brute-force ground truth for small systems (up to 12 qubits; the protocol, up to 12 blocks).
 
 Every quantity here comes from the explicit 2^(Nm)-dimensional operators,
 held as their exactly nonzero entries (`linalg.Sparse`): the decohered
@@ -13,6 +13,7 @@ certified against this module on the overlap domain.
 """
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -241,12 +242,17 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
     """
     if cfg.N < 2:
         raise InputError(f"protocol needs N >= 2, got N={cfg.N}")
-    linalg.check_qubit_budget(cfg.qubits, what="protocol simulation")
+    # the protocol builds the 2^N x 2^N projected state, one qubit per block
+    linalg.check_qubit_budget(cfg.N, what="projected protocol state")
 
     # projecting every block onto span{|0_L>, |1_L>} keeps the 2 x 2 corners (0...0, 1...1) of every
     # B_ab, and the channel acts qubit by qubit: corner (c, d) of B_ab is E(|a><b|)_cd to the m-th power,
     # so the projected block is a one-qubit block whose table is W1 to the m-th power
-    rho = _even_string_sum(_one_qubit(p) ** cfg.m, 1, cfg.N)
+    table = _one_qubit(p) ** cfg.m
+    underflow = f"protocol at N={cfg.N}, m={cfg.m}, p={p}: the projected state underflows"
+    if not table.any():
+        raise ResourceLimitError(f"{underflow} to zero")
+    rho = _even_string_sum(table, 1, cfg.N)
 
     # the kept blocks 0 and 1 lead the index, as (kept pair, record); the
     # measured logical states are basis vectors, so the state conditioned on
@@ -263,9 +269,11 @@ def distill_protocol_outcomes(cfg: BlockConfig, p):
     norms = np.bincount(record[trace], rho.vals[trace], minlength=dm)
     overlaps = np.bincount(record[inside & in_pair], rho.vals[inside & in_pair], minlength=dm)
     weight = float(np.sum(norms))
+    if weight < sys.float_info.min:
+        raise ResourceLimitError(f"{underflow}: its trace is {weight!r}")
     records = []
     for outcome, norm, overlap in zip(product((0, 1), repeat=cfg.N - 2), norms.tolist(), overlaps.tolist()):
-        prob = norm / weight if weight > 0 else 0.0
+        prob = norm / weight
         fid = overlap / (2 * norm) if prob > 1e-14 else float("nan")
         records.append((outcome, prob, fid))
     return records

@@ -159,7 +159,7 @@ def test_criterion_4_distillation_flagship():
 def test_criterion_5_protocol_matches_formula():
     started = time.perf_counter()
     worst = 0.0
-    for n_blocks, m in ((2, 1), (2, 2), (3, 2), (2, 3)):
+    for n_blocks, m in ((2, 1), (2, 2), (3, 2), (2, 3), (4, 8), (10, 6), (6, 10)):
         cfg = BlockConfig(n_blocks, m)
         for p in (0.7, 0.9):
             diff = abs(

@@ -182,15 +182,26 @@ class TestSynthesizeBlockPhase:
         # block b toggles once per layer whose mask (t-1)^t has odd overlap
         # with b; the masks telescope, so the count's parity is popcount(b)
         for n_blocks in range(1, 301):
-            T, layers = circuits._walsh_layers(n_blocks)
+            c = synthesize_block_phase(BlockConfig(n_blocks, 1))
+            T, _, _ = gate_counts(c)
             toggles = [0] * n_blocks
-            for blocks in layers:
-                for b in blocks:
-                    toggles[b] += 1
+            for g in c.gates:
+                if isinstance(g, ZLayer):
+                    for b in g.qubits:  # m = 1: qubit b is block b
+                        toggles[b] += 1
             odd = [b for b in range(n_blocks) if toggles[b] % 2]
             assert odd == [b for b in range(n_blocks) if (b & (T - 1)).bit_count() & 1]
             _, fin = circuits.correction_layers(BlockConfig(n_blocks, 1))
             assert [g.qubit for g in fin if g.name == "Z"] == odd
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 5, 8, 100, 256])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_coupler_builds_each_z_layer_once(self, n_blocks, m):
+        c = synthesize_block_phase(BlockConfig(n_blocks, m))
+        T, zl, _ = gate_counts(c)
+        layers = [g for g in c.gates if isinstance(g, ZLayer)]
+        assert zl == len(layers) == T - 1
+        assert len({id(g) for g in layers}) == len(set(layers)) == (T - 1).bit_length()
 
     def test_four_blocks_counts(self):
         c = synthesize_block_phase(BlockConfig(4, 2))
@@ -389,6 +400,17 @@ class TestTextFormat:
         for cfg in (BlockConfig(2, 3), BlockConfig(256, 4)):
             text = export_circuit(synthesize_preparation(cfg))
             assert export_circuit(parse_circuit(text)) == text
+
+    def test_parsed_gates_equal_and_hash_like_synthesized(self):
+        for cfg in (BlockConfig(3, 2), BlockConfig(5, 3), BlockConfig(64, 2)):
+            made = synthesize_preparation(cfg).gates
+            parsed = parse_circuit(export_circuit(synthesize_preparation(cfg))).gates
+            assert parsed == made
+            assert [hash(g) for g in parsed] == [hash(g) for g in made]
+            index = {g: k for k, g in enumerate(made)}
+            assert [index[g] for g in parsed] == [index[g] for g in made]
+            # no gate of one kind equals a gate of another kind
+            assert len(set(made)) == len({(type(g), g) for g in made})
 
     def test_format_lines(self):
         c = Circuit(3, (MSGate(Fraction(1, 8)), ZLayer((0, 2)), LocalGate("SDG", 1)))

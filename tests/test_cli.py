@@ -66,6 +66,16 @@ class TestEval:
         assert abs(vals[0] - vals[1]) < 1e-8
         assert all(float(r[7]) <= 1e-8 for r in rows)
 
+    def test_engine_all_protocol_beyond_twelve_qubits(self, capsys):
+        # the protocol oracle projects each block onto one logical qubit, so 60 qubits in 6 blocks run
+        code, out, _ = run(
+            capsys, "eval", "fidelity", "--N", "6", "--m", "10", "--p", "0.9", "--engine", "all"
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [r[4] for r in rows] == ["analytic", "oracle"]
+        assert abs(float(rows[0][5]) - float(rows[1][5])) < 1e-9
+
     def test_rate_time_noise_input(self, capsys):
         import math
 
@@ -124,6 +134,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "resource error" in err
+
+    def test_underflowing_protocol_is_a_resource_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "fidelity", "--N", "2", "--m", "2000", "--p", "0", "--engine", "all"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource error: protocol at N=2, m=2000, p=0")
 
     def test_unsupported_engine_for_quantity(self, capsys):
         code, _, err = run(

@@ -236,14 +236,31 @@ class TestDistillProtocol:
         [(_, _, fid)] = oracle.distill_protocol_outcomes(BlockConfig(2, 1), 0.9)
         assert fid == pytest.approx(0.8575, abs=1e-12)
 
-    # (4, 3) and (6, 2) are 12-qubit protocols
+    # (4, 3) and (6, 2) are 12-qubit protocols; the projected state has one
+    # qubit per block, so the cap is on N, and (4, 8) to (3, 40) run too
     @pytest.mark.parametrize(
-        "cfg", [BlockConfig(3, 2), BlockConfig(4, 1), BlockConfig(3, 3), BlockConfig(4, 3), BlockConfig(6, 2)]
+        "cfg",
+        [BlockConfig(3, 2), BlockConfig(4, 1), BlockConfig(3, 3), BlockConfig(4, 3), BlockConfig(6, 2)]
+        + [BlockConfig(4, 8), BlockConfig(10, 6), BlockConfig(6, 10), BlockConfig(3, 40)],
     )
     @pytest.mark.parametrize("p", [0.7, 0.9])
     def test_average_matches_closed_form(self, cfg, p):
         avg = oracle.distill_protocol_average(cfg, p)
         assert avg == pytest.approx(analytic.distill_fidelity(cfg, p), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        # (2, 2000): the one-qubit table to the m-th power is all zero;
+        # (12, 90): the table is not, but the projected trace is
+        [((2, 2000), "N=2, m=2000, p=0: .* to zero"), ((12, 90), "N=12, m=90, p=0: .* its trace is 0.0")],
+    )
+    def test_underflowing_projection_is_refused(self, shape, message):
+        with pytest.raises(ResourceLimitError, match=message):
+            oracle.distill_protocol_average(BlockConfig(*shape), 0)
+
+    def test_thirteen_blocks_are_refused(self):
+        with pytest.raises(ResourceLimitError, match="13 qubits"):
+            oracle.distill_protocol_outcomes(BlockConfig(13, 1), 0.9)
 
     def test_probabilities_sum_to_one(self):
         records = oracle.distill_protocol_outcomes(BlockConfig(4, 2), 0.7)
